@@ -10,6 +10,12 @@ cargo build --release --workspace
 echo '== cargo test -q =='
 cargo test -q --workspace
 
+echo '== perfbench contract (smoke size) =='
+# The host-time benchmark is its own Cargo workspace compiled against the
+# stores' public API; its contract test runs every workload at smoke size,
+# so an API break fails CI here instead of failing the benchmark run.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo '== crash-matrix gate (full cross product, deterministic, <60s) =='
 # Re-runs the exhaustive fault-injection matrix on its own with a hard
 # wall-clock ceiling: the matrix must stay cheap enough to never be

@@ -11,7 +11,7 @@
 
 use crate::node::{Node, NodeId};
 use ckpt_core::shared_storage;
-use ckpt_ec::{EcStripedStore, ErasureStore};
+use ckpt_ec::{EcStripedStore, ErasureStore, Rs};
 use ckpt_replica::{ReplicaConfig, ReplicaSet, ReplicatedStore, StripedReplicaSet, StripedStore};
 use ckpt_storage::RemoteServer;
 use rand::rngs::StdRng;
@@ -210,7 +210,7 @@ impl Cluster {
             remote_server,
             Some(set),
             move |id, cost| {
-                let store = ErasureStore::new(client_set.clone(), k, m);
+                let store = ErasureStore::new(client_set.clone(), Rs::new(k, m));
                 Node::with_remote(id, cost, shared_storage(store))
             },
         )
@@ -239,7 +239,7 @@ impl Cluster {
             remote_server,
             None,
             move |id, cost| {
-                let store = EcStripedStore::new(client_set.clone(), k, m);
+                let store = EcStripedStore::new(client_set.clone(), Rs::new(k, m));
                 Node::with_remote(id, cost, shared_storage(store))
             },
         );

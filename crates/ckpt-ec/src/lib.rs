@@ -17,22 +17,16 @@
 //! * [`rs`] — [`RsCode`], systematic Vandermonde-derived encode matrix,
 //!   pool-parallel parity rows, Gauss-Jordan reconstruction from any
 //!   `k` intact shards;
-//! * [`store`] — [`ErasureStore`], the
-//!   [`StableStorage`](ckpt_storage::StableStorage) backend: shard
-//!   placement on [`ReplicaNode`](ckpt_replica::ReplicaNode)s (reusing
-//!   their versioned, digest-protected frames and torn-prefix
-//!   semantics), framed shard batches, digest-verified reconstruction,
-//!   in-place shard repair, typed
-//!   [`TooManyShardsLost`](ckpt_storage::StorageError::TooManyShardsLost);
-//! * [`stripe`] — [`EcStripedStore`], K independent coded shard groups
-//!   behind one facade so the sharded control plane commits coded
-//!   batches.
+//! * [`store`] — [`Rs`], the Reed-Solomon
+//!   [`ShardCodec`](ckpt_replica::ShardCodec) (`ECS1` shard frames,
+//!   digest-verified reconstruction, typed
+//!   [`TooManyShardsLost`](ckpt_storage::StorageError::TooManyShardsLost)),
+//!   run by `ckpt-replica`'s quorum-commit core as [`ErasureStore`] and,
+//!   striped, as [`EcStripedStore`].
 
 pub mod gf;
 pub mod rs;
 pub mod store;
-pub mod stripe;
 
 pub use rs::{NotEnoughShards, RsCode};
-pub use store::{EcStats, ErasureStore};
-pub use stripe::EcStripedStore;
+pub use store::{EcStats, EcStripedStore, ErasureStore, Rs};

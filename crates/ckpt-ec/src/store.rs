@@ -1,60 +1,40 @@
-//! The erasure-coded stable-storage backend.
+//! Reed-Solomon as a [`ShardCodec`]: [`Rs`] and its store,
+//! [`ErasureStore`].
 //!
-//! An [`ErasureStore`] is one client handle onto a shared
-//! [`ReplicaSet`] of `k + m` shard nodes: every object splits into `k`
-//! data shards plus `m` Reed-Solomon parity shards, one shard per node.
-//! A commit moves `(k + m) / k ×` the object's bytes over the wire where
-//! an N-way replicated commit moves `N ×` — the bandwidth win this layer
-//! exists for — while still surviving any `m` node losses.
+//! An [`ErasureStore`] runs the shared quorum-commit core over `k + m`
+//! shard nodes: every object splits into `k` data shards plus `m`
+//! Reed-Solomon parity shards, one shard per node. A commit moves
+//! `(k + m) / k ×` the object's bytes over the wire where an N-way
+//! replicated commit moves `N ×` — the bandwidth win this layer exists
+//! for — while still surviving any `m` node losses.
 //!
-//! ## Write quorum
+//! ## Write quorum and reads
 //!
 //! A write commits when `w = k + ⌈m/2⌉` shard nodes acknowledge
-//! (`w ≥ k + 1` since `m ≥ 1`). That choice makes reads safe by the same
-//! argument the replicated store uses for `w > N/2`: a committed write
-//! occupies at least `w` nodes, so if a read finds `≥ k` intact shards
-//! at some version `v`, the at most `(k + m) − k = m < w` remaining
-//! nodes cannot be hiding an entire newer commit — the reconstruction of
-//! `v` is the newest committed value. Fewer than `w` acks rolls the
-//! attempt back from every node that took it and refuses with the typed
-//! [`StorageError::QuorumLost`].
+//! (`w ≥ k + 1` since `m ≥ 1`): a committed write occupies at least `w`
+//! nodes, so if a read finds `≥ k` intact shards at some version `v`, the
+//! at most `m < w` other nodes cannot hide an entire newer commit. A read
+//! reconstructs from any `k` intact shards of the winning version —
+//! concatenation when all data shards survived, a GF(256)
+//! matrix-inversion decode otherwise — and verifies the object digest
+//! every shard header carries. Fewer than `k` intact shards, or a digest
+//! mismatch, refuses with the typed [`StorageError::TooManyShardsLost`] —
+//! never silent corruption, never fabricated bytes.
 //!
-//! ## Read path
+//! ## Faultpoint sites
 //!
-//! Reads probe every node (frame digests make torn shards
-//! self-identifying, exactly as on the replicated path), pick the
-//! highest version any intact shard carries, and reconstruct from any
-//! `k` intact shards — concatenation when all data shards survived, a
-//! GF(256) matrix-inversion decode otherwise. The reassembled object is
-//! verified against the object digest carried in every shard header;
-//! lost/torn/stale shards are then rebuilt in place (the read-repair
-//! analog, each repaired frame re-digested by its node). Fewer than `k`
-//! intact shards refuses with the typed
-//! [`StorageError::TooManyShardsLost`] — never silent corruption, never
-//! fabricated bytes.
-//!
-//! ## Determinism
-//!
-//! All fault admission (node reachability, queued transients,
-//! `simos::faultpoint` checks at `ec/s<i>/store` / `ec/s<i>/load` /
-//! `ec/s<i>/batch`) and all backoff arithmetic run sequentially on the
-//! calling thread in shard-node order; only pure work — parity encodes
-//! and per-node frame copies — fans out on the `ckpt-par` pool behind
-//! its ordered merge. Commits, manifests, costs, and counters are
-//! identical at every pool width.
+//! `ec/s<i>/batch` for every write — a single-object store is a batch of
+//! one — and `ec/s<i>/load` for reads; [`EcStripedStore`] renames the
+//! prefix to `ecstripe<j>`.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use ckpt_par::Pool;
-use ckpt_replica::{fnv1a64, Admission, Backoff, BackoffPolicy, Frame, Probe, ReplicaSet};
-use ckpt_storage::{
-    BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage, StorageClass, StorageError,
-    StoreReceipt,
+use ckpt_replica::{
+    fnv1a64, BackoffPolicy, Decoded, Frame, Probe, QuorumStats, QuorumStore, ShardCodec, Striped,
 };
-use simos::cost::CostModel;
-use simos::faultpoint::{Fault, FaultHandle};
+use ckpt_storage::{CodingGeometry, StorageError};
 use simos::trace::TraceHandle;
 
 use crate::rs::RsCode;
@@ -91,122 +71,20 @@ fn parse_shard(frame: &[u8], k: usize, m: usize) -> Option<(usize, u64, u64, &[u
     Some((idx, object_len, object_digest, &frame[SHARD_HEADER..]))
 }
 
-/// Plain counters mirroring the [`simos::trace::ErasureAgg`] deltas this
-/// store emits, readable without a recording trace handle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EcStats {
-    /// Objects committed (shard batches that reached write quorum).
-    pub commits: u64,
-    /// Per-node transient faults absorbed by backoff-retry.
-    pub retries: u64,
-    /// Reads that needed a matrix-inversion decode.
-    pub decodes: u64,
-    /// Lost/torn/stale shards rebuilt in place during reads.
-    pub repairs: u64,
-    /// Reads refused with [`StorageError::TooManyShardsLost`].
-    pub shard_losses: u64,
-    /// Writes refused with [`StorageError::QuorumLost`].
-    pub quorum_losses: u64,
-    /// Acknowledgement round-trips: one per single store or delete, one
-    /// per entire framed shard batch.
-    pub ack_cycles: u64,
-}
+/// The erasure-coded view of [`QuorumStats`], mirroring the
+/// [`simos::trace::ErasureAgg`] deltas the store emits (plus retries,
+/// write-quorum losses and ack cycles).
+pub type EcStats = QuorumStats;
 
-#[derive(Default)]
-struct StatCells {
-    commits: AtomicU64,
-    retries: AtomicU64,
-    decodes: AtomicU64,
-    repairs: AtomicU64,
-    shard_losses: AtomicU64,
-    quorum_losses: AtomicU64,
-    ack_cycles: AtomicU64,
-}
-
-/// Per-node write decision, resolved sequentially before the pool
-/// executes the copies (same discipline as the replicated store).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WriteCmd {
-    Full,
-    Torn { keep: usize },
-    Skip,
-}
-
-/// One client handle on an erasure-coded store over `k + m` shard nodes.
-pub struct ErasureStore {
-    set: Arc<ReplicaSet>,
+/// RS(k, m) over GF(256): node `i` holds shard `i` in an `ECS1` frame.
+#[derive(Debug, Clone)]
+pub struct Rs {
     code: RsCode,
-    /// Shard write quorum `k + ⌈m/2⌉`.
-    w: usize,
-    backoff: BackoffPolicy,
-    faults: FaultHandle,
-    trace: TraceHandle,
-    pool: Arc<Pool>,
-    client_up: bool,
-    /// Faultpoint namespace: sites render as `{site_prefix}/s<i>/{op}`.
-    site_prefix: String,
-    manifests: BTreeMap<String, ReplicaManifest>,
-    stats: StatCells,
 }
 
-impl ErasureStore {
-    /// A store over `set` (which must have exactly `k + m` nodes) with an
-    /// RS(k, m) code. Fault injection defaults to off, tracing to the
-    /// no-op sink, the pool to the global one.
-    pub fn new(set: Arc<ReplicaSet>, k: usize, m: usize) -> Self {
-        let code = RsCode::new(k, m);
-        assert_eq!(
-            set.len(),
-            k + m,
-            "shard set has {} nodes but RS({k},{m}) needs {}",
-            set.len(),
-            k + m
-        );
-        ErasureStore {
-            set,
-            code,
-            w: k + m.div_ceil(2),
-            backoff: BackoffPolicy::default(),
-            faults: FaultHandle::disabled(),
-            trace: TraceHandle::disabled(),
-            pool: ckpt_par::global().clone(),
-            client_up: true,
-            site_prefix: "ec".to_string(),
-            manifests: BTreeMap::new(),
-            stats: StatCells::default(),
-        }
-    }
-
-    /// Convenience: a fresh `k + m`-node set plus its first client handle.
-    pub fn fresh(k: usize, m: usize) -> Self {
-        ErasureStore::new(ReplicaSet::new(k + m), k, m)
-    }
-
-    pub fn with_faults(mut self, faults: FaultHandle) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    pub fn with_backoff(mut self, backoff: BackoffPolicy) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Rename the faultpoint namespace (default `ec`); an EC-striped pool
-    /// gives each stripe `ecstripe<j>`.
-    pub fn with_site_prefix(mut self, prefix: impl Into<String>) -> Self {
-        self.site_prefix = prefix.into();
-        self
+impl Rs {
+    pub fn new(k: usize, m: usize) -> Self {
+        Rs { code: RsCode::new(k, m) }
     }
 
     pub fn k(&self) -> usize {
@@ -216,595 +94,140 @@ impl ErasureStore {
     pub fn m(&self) -> usize {
         self.code.m()
     }
-
-    /// Shard write quorum `k + ⌈m/2⌉`.
-    pub fn write_quorum(&self) -> usize {
-        self.w
-    }
-
-    pub fn replica_set(&self) -> Arc<ReplicaSet> {
-        self.set.clone()
-    }
-
-    /// Counters accumulated by this client handle.
-    pub fn stats(&self) -> EcStats {
-        EcStats {
-            commits: self.stats.commits.load(Ordering::Relaxed),
-            retries: self.stats.retries.load(Ordering::Relaxed),
-            decodes: self.stats.decodes.load(Ordering::Relaxed),
-            repairs: self.stats.repairs.load(Ordering::Relaxed),
-            shard_losses: self.stats.shard_losses.load(Ordering::Relaxed),
-            quorum_losses: self.stats.quorum_losses.load(Ordering::Relaxed),
-            ack_cycles: self.stats.ack_cycles.load(Ordering::Relaxed),
-        }
-    }
-
-    fn n(&self) -> usize {
-        self.code.k() + self.code.m()
-    }
-
-    fn xfer_ns(&self, len: usize, cost: &CostModel) -> u64 {
-        (len as f64 * cost.net_ns_per_byte).round() as u64
-    }
-
-    /// Encode an object into its `k + m` shard frames (pure; parity rows
-    /// fan out on the pool).
-    fn encode_frames(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        let shards = self.code.split(data);
-        let parity = self.code.encode(&shards, &self.pool);
-        let (len, digest) = (data.len() as u64, fnv1a64(data));
-        let (k, m) = (self.code.k() as u8, self.code.m() as u8);
-        shards
-            .iter()
-            .chain(parity.iter())
-            .enumerate()
-            .map(|(i, s)| shard_frame(k, m, i as u8, len, digest, s))
-            .collect()
-    }
-
-    /// Resolve one shard node's admission + fault checks into a write
-    /// decision, retrying transients on the jittered schedule. Mirrors
-    /// the replicated store's sequential-admission discipline.
-    fn resolve_node(&self, i: usize, op: &str, key: &str, bytes: u64) -> (WriteCmd, u64, u64) {
-        let node = self.set.node(i);
-        let site = format!("{}/s{i}/{op}", self.site_prefix);
-        let salt = fnv1a64(key.as_bytes()) ^ (i as u64);
-        let mut backoff = Backoff::new(self.backoff, salt);
-        let mut retries = 0u64;
-        let mut delay_ns = 0u64;
-        loop {
-            match node.admit() {
-                Admission::Down => return (WriteCmd::Skip, retries, delay_ns),
-                Admission::Transient => match backoff.next_delay_ns() {
-                    Ok(d) => {
-                        retries += 1;
-                        delay_ns += d;
-                        continue;
-                    }
-                    Err(_) => return (WriteCmd::Skip, retries, delay_ns),
-                },
-                Admission::Ok => {}
-            }
-            if !self.faults.is_off() {
-                match self.faults.check(&site, bytes) {
-                    Some(Fault::Transient) => match backoff.next_delay_ns() {
-                        Ok(d) => {
-                            retries += 1;
-                            delay_ns += d;
-                            continue;
-                        }
-                        Err(_) => return (WriteCmd::Skip, retries, delay_ns),
-                    },
-                    Some(Fault::TornWrite { keep_bytes }) if op != "load" => {
-                        node.fail();
-                        return (
-                            WriteCmd::Torn {
-                                keep: keep_bytes as usize,
-                            },
-                            retries,
-                            delay_ns,
-                        );
-                    }
-                    Some(_) => {
-                        node.fail();
-                        return (WriteCmd::Skip, retries, delay_ns);
-                    }
-                    None => {}
-                }
-            }
-            return (WriteCmd::Full, retries, delay_ns);
-        }
-    }
-
-    /// Highest frame version any reachable node holds for `key`.
-    fn probe_max_version(&self, key: &str) -> u64 {
-        self.set
-            .nodes()
-            .iter()
-            .filter(|n| !n.is_down())
-            .map(|n| match n.probe(key) {
-                Probe::Missing => 0,
-                Probe::Torn { version } => version,
-                Probe::Valid(f) => f.version,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Undo the last committed write of `key` (the EC-striped pool's
-    /// cross-stripe all-or-nothing needs this, exactly like the striped
-    /// replica pool).
-    pub(crate) fn retract_commit(&mut self, key: &str) {
-        if let Some(man) = self.manifests.remove(key) {
-            for i in 0..self.n() {
-                self.set.node(i).drop_if_version(key, man.version);
-            }
-        }
-    }
-
-    fn bump(&self, commits: u64, retries: u64, decodes: u64, repairs: u64, losses: u64) {
-        self.stats.commits.fetch_add(commits, Ordering::Relaxed);
-        self.stats.retries.fetch_add(retries, Ordering::Relaxed);
-        self.stats.decodes.fetch_add(decodes, Ordering::Relaxed);
-        self.stats.repairs.fetch_add(repairs, Ordering::Relaxed);
-        self.stats.shard_losses.fetch_add(losses, Ordering::Relaxed);
-        self.trace.erasure(commits, decodes, repairs, losses);
-    }
-
-    fn manifest_for(&self, key: &str, version: u64, data_len: u64, digest: u64, acked: Vec<u32>) -> ReplicaManifest {
-        ReplicaManifest {
-            key: key.to_string(),
-            version,
-            digest,
-            bytes: data_len,
-            acked,
-            n: self.n() as u32,
-            w: self.w as u32,
-            coding: Some(CodingGeometry {
-                k: self.code.k() as u32,
-                m: self.code.m() as u32,
-            }),
-        }
-    }
 }
 
-impl StableStorage for ErasureStore {
-    fn class(&self) -> StorageClass {
-        StorageClass::Remote
+/// One client handle on an erasure-coded store over `k + m` shard nodes.
+pub type ErasureStore = QuorumStore<Rs>;
+
+/// K erasure-coded stripes of RS(k, m) behind the shared striped router:
+/// the sharded control plane commits its per-round batches as coded
+/// frames, at `(k + m) / k ×` the bytes of replication.
+pub type EcStripedStore = Striped<Rs>;
+
+impl ShardCodec for Rs {
+    const NODE: char = 's';
+    const PREFIX: &'static str = "ec";
+    const STRIPE_PREFIX: &'static str = "ecstripe";
+    const UNFRAMED_STORE: bool = false;
+    type Config = Rs;
+    type Stats = EcStats;
+
+    fn configure(rs: Rs) -> (Self, BackoffPolicy) {
+        (rs, BackoffPolicy::default())
+    }
+
+    fn geometry(k: usize, m: usize) -> Rs {
+        Rs::new(k, m)
+    }
+
+    fn nodes(&self) -> usize {
+        self.k() + self.m()
+    }
+
+    /// Shard write quorum `k + ⌈m/2⌉`.
+    fn write_quorum(&self) -> usize {
+        self.k() + self.m().div_ceil(2)
+    }
+
+    fn read_width(&self) -> u64 {
+        self.k() as u64
     }
 
     fn label(&self) -> String {
-        format!("rs({},{})", self.code.k(), self.code.m())
+        format!("rs({},{})", self.k(), self.m())
     }
 
-    fn store(
-        &mut self,
-        key: &str,
-        data: &[u8],
-        cost: &CostModel,
-    ) -> Result<StoreReceipt, StorageError> {
-        let r = self.store_batch(&[(key, data)], cost)?;
-        Ok(StoreReceipt {
-            key: key.to_string(),
-            bytes: r.bytes,
-            time_ns: r.time_ns,
-        })
+    fn striped_label(&self, stripes: usize) -> String {
+        format!("ecstriped({stripes}x {})", self.label())
     }
 
-    fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
-        if !self.client_up {
-            return Err(StorageError::Unavailable);
-        }
-        let (k, m, n) = (self.code.k(), self.code.m(), self.n());
+    fn coding(&self) -> Option<CodingGeometry> {
+        Some(CodingGeometry { k: self.k() as u32, m: self.m() as u32 })
+    }
 
-        // Sequential probe of every shard node, in node order.
-        let mut total_retries = 0u64;
-        let mut backoff_ns = 0u64;
-        let mut down = 0usize;
-        let mut frames: Vec<Option<Frame>> = vec![None; n];
-        for (i, slot) in frames.iter_mut().enumerate() {
-            let (cmd, r, d) = self.resolve_node(i, "load", key, 0);
-            total_retries += r;
-            backoff_ns += d;
-            if cmd != WriteCmd::Full {
-                down += 1;
-                continue;
-            }
-            match self.set.node(i).probe(key) {
-                Probe::Valid(f) => *slot = Some(f),
-                Probe::Torn { .. } | Probe::Missing => {}
-            }
-        }
+    /// The `k + m` shard frames of an object (parity rows fan out on the
+    /// pool).
+    fn encode<'a>(&self, data: &'a [u8], pool: &Arc<Pool>) -> Vec<Cow<'a, [u8]>> {
+        let shards = self.code.split(data);
+        let parity = self.code.encode(&shards, pool);
+        let (len, digest) = (data.len() as u64, fnv1a64(data));
+        let (k, m) = (self.k() as u8, self.m() as u8);
+        let frames = shards.iter().chain(&parity).enumerate();
+        frames.map(|(i, s)| Cow::Owned(shard_frame(k, m, i as u8, len, digest, s))).collect()
+    }
 
-        let winner = frames
-            .iter()
-            .flatten()
-            .map(|f| f.version)
-            .max()
-            .unwrap_or(0);
-        if winner == 0 {
+    fn fits(&self, node: usize, frame: &Frame) -> bool {
+        parse_shard(&frame.data, self.k(), self.m()).is_some_and(|(idx, ..)| idx == node)
+    }
+
+    fn decode(&self, seen: &[Option<Probe>], winner: Option<&Frame>) -> Result<Option<Decoded>, StorageError> {
+        let (k, m) = (self.k(), self.m());
+        let Some(winner) = winner else {
             // No node has ever seen this key — unless so many are down
             // that a committed shard set could be hiding on them.
-            let refused = down > n - self.w;
-            self.bump(0, total_retries, 0, 0, u64::from(refused));
-            return if refused {
-                Err(StorageError::TooManyShardsLost {
-                    intact: 0,
-                    needed: k as u32,
-                })
-            } else {
-                Err(StorageError::NotFound(key.to_string()))
+            let down = seen.iter().filter(|p| p.is_none()).count();
+            return match down > self.nodes() - self.write_quorum() {
+                true => Err(StorageError::TooManyShardsLost { intact: 0, needed: k as u32 }),
+                false => Ok(None),
             };
+        };
+        if winner.tombstone {
+            return Ok(None);
         }
-
-        // Tombstone wins: the newest commit is a delete marker. Repair it
-        // onto every reachable lagging node so the key can't resurrect.
-        if frames
-            .iter()
-            .flatten()
-            .any(|f| f.version == winner && f.tombstone)
-        {
-            let lagging: Vec<usize> = (0..n)
-                .filter(|&i| !self.set.node(i).is_down())
-                .filter(|&i| !matches!(&frames[i], Some(f) if f.version == winner))
-                .collect();
-            let repairs = lagging.len() as u64;
-            for i in lagging {
-                self.set.node(i).put_tombstone(key, winner);
-            }
-            self.bump(0, total_retries, 0, repairs, 0);
-            return Err(StorageError::NotFound(key.to_string()));
-        }
-
         // Collect the intact shards of the winning version. A frame whose
         // header is malformed or whose shard index disagrees with its
         // node counts as lost — it cannot be trusted into the decode.
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
-        let mut object_len = 0u64;
-        let mut object_digest = 0u64;
-        let mut shard_frame_len = 0usize;
-        let mut intact = 0usize;
-        for i in 0..n {
-            let Some(f) = &frames[i] else { continue };
-            if f.version != winner {
+        let mut shards: Vec<Option<Vec<u8>>> = vec![None; k + m];
+        let (mut object_len, mut digest, mut frame_len, mut intact) = (0, 0, 0, 0);
+        for (i, p) in seen.iter().enumerate() {
+            let Some(Probe::Valid(f)) = p else { continue };
+            if f.version != winner.version {
                 continue;
             }
-            if let Some((idx, olen, odig, shard)) = parse_shard(&f.data, k, m) {
-                if idx == i {
-                    shards[i] = Some(shard.to_vec());
-                    object_len = olen;
-                    object_digest = odig;
-                    shard_frame_len = f.data.len();
-                    intact += 1;
-                }
+            if let Some((idx, olen, odig, shard)) = parse_shard(&f.data, k, m).filter(|s| s.0 == i) {
+                shards[idx] = Some(shard.to_vec());
+                (object_len, digest, frame_len) = (olen, odig, f.data.len());
+                intact += 1;
             }
         }
-        if intact < k {
-            self.bump(0, total_retries, 0, 0, 1);
-            return Err(StorageError::TooManyShardsLost {
-                intact: intact as u32,
-                needed: k as u32,
-            });
+        let refused = StorageError::TooManyShardsLost { intact, needed: k as u32 };
+        if (intact as usize) < k {
+            return Err(refused);
         }
-
-        // Reconstruct: concatenation when all data shards survived, a
-        // matrix-inversion decode otherwise.
-        let needs_decode = (0..k).any(|i| shards[i].is_none());
-        let full = self
-            .code
-            .reconstruct(&shards)
-            .expect("intact >= k shards reconstruct");
+        let decoded = shards[..k].iter().any(Option::is_none);
+        let full = self.code.reconstruct(&shards).expect("intact >= k shards reconstruct");
         let object = self.code.join(&full, object_len as usize);
-        if fnv1a64(&object) != object_digest {
-            // The shard set is internally inconsistent (can only happen
-            // if the medium was damaged beyond what frame digests catch).
-            // Refuse — returning the reassembly would be silent corruption.
-            self.bump(0, total_retries, 0, 0, 1);
-            return Err(StorageError::TooManyShardsLost {
-                intact: intact as u32,
-                needed: k as u32,
-            });
+        if fnv1a64(&object) != digest {
+            // The shard set is internally inconsistent (the medium was
+            // damaged beyond what frame digests catch). Returning the
+            // reassembly would be silent corruption.
+            return Err(refused);
         }
-
-        // Read-repair: rebuild the proper shard frame, at the winning
-        // version, on every reachable node that doesn't hold it. Pure
-        // copies — fan out on the pool; each node re-digests its frame.
-        let lagging: Vec<usize> = (0..n)
-            .filter(|&i| !self.set.node(i).is_down())
-            .filter(|&i| shards[i].is_none())
-            .collect();
-        let repairs = lagging.len() as u64;
-        if !lagging.is_empty() {
-            let (kb, mb) = (k as u8, m as u8);
-            let set = self.set.clone();
-            let full = &full;
-            self.pool.par_map_ordered(lagging, || (), |_, _, i| {
-                let frame = shard_frame(kb, mb, i as u8, object_len, object_digest, &full[i]);
-                set.node(i).put(key, winner, &frame);
-            });
-        }
-
-        // k shard frames cross the wire to serve the read, plus one per
-        // repaired node to rebuild it.
-        let time_ns = cost.net_latency_ns
-            + self.xfer_ns(shard_frame_len, cost) * (k as u64 + repairs)
-            + backoff_ns;
-        self.bump(0, total_retries, u64::from(needs_decode), repairs, 0);
-        Ok((object, time_ns))
+        Ok(Some(Decoded { object, digest, frame_len, decoded, shards: full }))
     }
 
-    fn delete(&mut self, key: &str) -> Result<(), StorageError> {
-        if !self.client_up {
-            return Err(StorageError::Unavailable);
-        }
-        let version = self.probe_max_version(key) + 1;
-        let mut acked = 0usize;
-        let mut total_retries = 0u64;
-        for i in 0..self.n() {
-            // Same admission/retry path as the replicated store's delete:
-            // no payload to tear, so no faultpoint site is consulted.
-            let node = self.set.node(i);
-            let salt = fnv1a64(key.as_bytes()) ^ (i as u64) ^ 0xde1e;
-            let mut backoff = Backoff::new(self.backoff, salt);
-            loop {
-                match node.admit() {
-                    Admission::Down => break,
-                    Admission::Transient => {
-                        if backoff.next_delay_ns().is_err() {
-                            break;
-                        }
-                        total_retries += 1;
-                        continue;
-                    }
-                    Admission::Ok => {
-                        node.put_tombstone(key, version);
-                        acked += 1;
-                        break;
-                    }
-                }
-            }
-        }
-        self.stats.ack_cycles.fetch_add(1, Ordering::Relaxed);
-        if acked < self.w {
-            self.stats.quorum_losses.fetch_add(1, Ordering::Relaxed);
-            self.bump(0, total_retries, 0, 0, 0);
-            return Err(StorageError::QuorumLost {
-                acked: acked as u32,
-                needed: self.w as u32,
-            });
-        }
-        self.manifests.remove(key);
-        self.bump(0, total_retries, 0, 0, 0);
-        Ok(())
+    fn repair_frame<'a>(&self, d: &'a Decoded, node: usize) -> Cow<'a, [u8]> {
+        let (k, m, len) = (self.k() as u8, self.m() as u8, d.object.len() as u64);
+        Cow::Owned(shard_frame(k, m, node as u8, len, d.digest, &d.shards[node]))
     }
 
-    fn list(&self) -> Vec<String> {
-        if !self.client_up {
-            return Vec::new();
-        }
-        let mut keys: Vec<String> = self
-            .set
-            .nodes()
-            .iter()
-            .filter(|n| !n.is_down())
-            .flat_map(|n| n.keys())
-            .collect();
-        keys.sort();
-        keys.dedup();
-        keys
-    }
-
-    fn available(&self) -> bool {
-        self.client_up && self.set.reachable() >= self.w
-    }
-
-    fn used_bytes(&self) -> u64 {
+    fn used_bytes(&self, per_node: impl Iterator<Item = u64>) -> u64 {
         // Physical occupancy: the object spreads over the nodes, so the
         // sum — not the max — is one logical copy's coded footprint.
-        self.set
-            .nodes()
-            .iter()
-            .filter(|n| !n.is_down())
-            .map(|n| n.used_bytes())
-            .sum()
+        per_node.sum()
     }
 
-    fn on_node_failure(&mut self) {
-        // The *client's* node fail-stopped; the shard nodes are elsewhere.
-        self.client_up = false;
-    }
-
-    fn on_node_repair(&mut self) {
-        self.client_up = true;
-    }
-
-    fn on_power_down(&mut self) {
-        // Remote media are unaffected by the client node's power state.
-    }
-
-    fn replica_manifest(&self, key: &str) -> Option<ReplicaManifest> {
-        self.manifests.get(key).cloned()
-    }
-
-    /// Framed batched shard commit: each node receives ONE wire frame
-    /// holding its shard of every object in the batch — one admission /
-    /// retry / acknowledgement cycle per node for the whole batch
-    /// (`ack_cycles: 1`), the same amortization as the replicated batch
-    /// path but at `(k + m) / k ×` the payload bytes instead of `N ×`.
-    /// Torn writes persist a frame *prefix* with per-object semantics;
-    /// fewer than `w` full frames rolls every object back.
-    fn store_batch(
-        &mut self,
-        objects: &[(&str, &[u8])],
-        cost: &CostModel,
-    ) -> Result<BatchReceipt, StorageError> {
-        if !self.client_up {
-            return Err(StorageError::Unavailable);
-        }
-        if objects.is_empty() {
-            return Ok(BatchReceipt {
-                objects: 0,
-                bytes: 0,
-                time_ns: 0,
-                ack_cycles: 0,
-            });
-        }
-        let n = self.n();
-
-        let versions: Vec<u64> = objects
-            .iter()
-            .map(|(k, _)| self.probe_max_version(k) + 1)
-            .collect();
-
-        // Encode every object up front (pure; parity rows fan out on the
-        // pool per object): per_object[j][i] is object j's frame on node i.
-        let per_object: Vec<Vec<Vec<u8>>> = objects
-            .iter()
-            .map(|(_, d)| self.encode_frames(d))
-            .collect();
-
-        // Frame layout offsets, identical on every node because shard
-        // frames of one object are equal-length: 16-byte frame header,
-        // then records of 20-byte header + key + shard payload. The
-        // offsets decide what a torn write leaves behind.
-        const FRAME_HEADER: u64 = 16;
-        const RECORD_HEADER: u64 = 20;
-        let mut payload_at: Vec<(u64, u64)> = Vec::with_capacity(objects.len());
-        let mut off = FRAME_HEADER;
-        for (j, (key, _)) in objects.iter().enumerate() {
-            let plen = per_object[j][0].len() as u64;
-            off += RECORD_HEADER + key.len() as u64;
-            payload_at.push((off, off + plen));
-            off += plen;
-        }
-        let frame_bytes = off;
-
-        // Phase 1 (sequential, node order): ONE admission + fault-check
-        // + retry/backoff cycle per node for the entire batch.
-        let batch_id = format!("batch/{}+{}", objects[0].0, objects.len());
-        let mut total_retries = 0u64;
-        let mut backoff_ns = 0u64;
-        let cmds: Vec<(usize, WriteCmd)> = (0..n)
-            .map(|i| {
-                let (cmd, r, d) = self.resolve_node(i, "batch", &batch_id, frame_bytes);
-                total_retries += r;
-                backoff_ns += d;
-                (i, cmd)
-            })
-            .collect();
-
-        // Pre-write snapshots: the frame each writing node holds under
-        // each key *before* the batch fans out. `put` replaces a node's
-        // frame in place, so a failed quorum needs these to roll back to
-        // the committed state instead of leaving the node empty — losing
-        // old shards on an overwrite that also failed to commit would
-        // turn a transient outage into data loss once `k` nodes took it.
-        let priors: Vec<Vec<Option<Frame>>> = cmds
-            .iter()
-            .map(|(i, cmd)| {
-                if *cmd == WriteCmd::Skip {
-                    Vec::new()
-                } else {
-                    objects
-                        .iter()
-                        .map(|(key, _)| self.set.node(*i).snapshot_frame(key))
-                        .collect()
-                }
-            })
-            .collect();
-
-        // Phase 2 (pool fan-out): pure copies, one node per work item.
-        let set = self.set.clone();
-        let per_object = &per_object;
-        let payload_at = &payload_at;
-        self.pool.par_map_ordered(
-            cmds.clone(),
-            || (),
-            |_, _, (i, cmd)| match cmd {
-                WriteCmd::Full => {
-                    for (j, (key, _)) in objects.iter().enumerate() {
-                        set.node(i).put(key, versions[j], &per_object[j][i]);
-                    }
-                }
-                WriteCmd::Torn { keep } => {
-                    let keep = keep as u64;
-                    for (j, (key, _)) in objects.iter().enumerate() {
-                        let (ps, pe) = payload_at[j];
-                        let record_start = ps - RECORD_HEADER - key.len() as u64;
-                        if keep >= pe {
-                            set.node(i).put(key, versions[j], &per_object[j][i]);
-                        } else if keep > record_start {
-                            let kept = keep.saturating_sub(ps) as usize;
-                            set.node(i).put_torn(key, versions[j], &per_object[j][i], kept);
-                        }
-                    }
-                }
-                WriteCmd::Skip => {}
-            },
-        );
-
-        let acked: Vec<u32> = cmds
-            .iter()
-            .filter(|(_, c)| matches!(c, WriteCmd::Full))
-            .map(|(i, _)| *i as u32)
-            .collect();
-        let xfer: u64 = cmds
-            .iter()
-            .map(|(_, c)| match c {
-                WriteCmd::Full => self.xfer_ns(frame_bytes as usize, cost),
-                WriteCmd::Torn { keep } => {
-                    self.xfer_ns((*keep as u64).min(frame_bytes) as usize, cost)
-                }
-                WriteCmd::Skip => 0,
-            })
-            .sum();
-        let time_ns = cost.net_latency_ns + xfer + backoff_ns;
-        self.stats.ack_cycles.fetch_add(1, Ordering::Relaxed);
-
-        if acked.len() < self.w {
-            // All-or-nothing: peel every object's shards back off the
-            // nodes that took them (torn prefixes included — their nodes
-            // are down, but the rollback keeps the traffic counter honest
-            // when they come back) and reinstate each node's pre-write
-            // frame, so a refused overwrite leaves the previously
-            // committed shard set exactly where it was.
-            for (idx, (i, cmd)) in cmds.iter().enumerate() {
-                if *cmd == WriteCmd::Skip {
-                    continue;
-                }
-                for (j, (key, _)) in objects.iter().enumerate() {
-                    self.set
-                        .node(*i)
-                        .rollback_to(key, versions[j], priors[idx][j].clone());
-                }
-            }
-            self.stats.quorum_losses.fetch_add(1, Ordering::Relaxed);
-            self.bump(0, total_retries, 0, 0, 0);
-            return Err(StorageError::QuorumLost {
-                acked: acked.len() as u32,
-                needed: self.w as u32,
-            });
-        }
-
-        let mut payload_bytes = 0u64;
-        for (j, (key, d)) in objects.iter().enumerate() {
-            payload_bytes += d.len() as u64;
-            let man = self.manifest_for(key, versions[j], d.len() as u64, fnv1a64(d), acked.clone());
-            self.manifests.insert(key.to_string(), man);
-        }
-        self.bump(objects.len() as u64, total_retries, 0, 0, 0);
-        Ok(BatchReceipt {
-            objects: objects.len() as u64,
-            bytes: payload_bytes,
-            time_ns,
-            ack_cycles: 1,
-        })
+    fn trace(&self, trace: &TraceHandle, d: &QuorumStats) {
+        trace.erasure(d.commits, d.decodes, d.repairs, d.shard_losses);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ckpt_replica::{ReplicatedStore, StripedStore};
+    use ckpt_storage::{ImageKey, StableStorage};
+    use simos::cost::CostModel;
 
     fn cost() -> CostModel {
         CostModel::circa_2005()
@@ -814,157 +237,284 @@ mod tests {
         (0..len).map(|i| (i % 251) as u8).collect()
     }
 
-    #[test]
-    fn commit_shards_across_all_nodes_and_reads_back() {
-        let mut s = ErasureStore::fresh(4, 2);
-        let data = payload(4096);
-        let r = s.store("j/pid1/seq1", &data, &cost()).unwrap();
-        assert_eq!(r.bytes, 4096);
+    fn refs(objects: &[(String, Vec<u8>)]) -> Vec<(&str, &[u8])> {
+        objects.iter().map(|(k, d)| (k.as_str(), d.as_slice())).collect()
+    }
+
+    fn coded_objects() -> Vec<(String, Vec<u8>)> {
+        (0..8).map(|i| (format!("o/{i}"), payload(300 + i * 17))).collect()
+    }
+
+    // Quorum-core behaviour both codecs share: each helper runs on
+    // replicated(3,2) and RS(4,2), and the callers check the counters.
+
+    fn commit_lands_everywhere<C: ShardCodec>(
+        mut s: QuorumStore<C>,
+        data: &[u8],
+        want: (u32, u32, Option<CodingGeometry>),
+    ) -> QuorumStore<C> {
+        let r = s.store("j/pid1/seq1", data, &cost()).unwrap();
+        assert_eq!(r.bytes, data.len() as u64);
         let man = s.replica_manifest("j/pid1/seq1").unwrap();
-        assert_eq!(man.coding, Some(CodingGeometry { k: 4, m: 2 }));
-        assert_eq!((man.n, man.w), (6, 5));
-        assert_eq!(man.acked.len(), 6);
-        let (bytes, _) = s.load("j/pid1/seq1", &cost()).unwrap();
-        assert_eq!(bytes, data);
+        assert_eq!(man.acked, (0..want.0).collect::<Vec<_>>());
+        assert_eq!((man.n, man.w, man.version, man.coding), (want.0, want.1, 1, want.2));
+        assert_eq!(man.digest, fnv1a64(data));
+        assert_eq!(s.load("j/pid1/seq1", &cost()).unwrap().0, data);
+        s
+    }
+
+    #[test]
+    fn commit_reaches_every_node_and_records_a_manifest() {
+        let s = commit_lands_everywhere(ReplicatedStore::fresh(3, 2), b"payload", (3, 2, None));
+        assert_eq!(s.stats().commits, 1);
+        let geometry = Some(CodingGeometry { k: 4, m: 2 });
+        let s = commit_lands_everywhere(ErasureStore::fresh(4, 2), &payload(4096), (6, 5, geometry));
         assert_eq!(s.stats().commits, 1);
         assert_eq!(s.stats().decodes, 0, "all data shards intact: no decode");
     }
 
-    #[test]
-    fn coded_commit_ingests_a_fraction_of_replicated_bytes() {
-        let data = payload(64 * 1024);
-        let mut ec = ErasureStore::fresh(4, 2);
-        ec.store("k", &data, &cost()).unwrap();
-        let coded = ec.replica_set().bytes_ingested();
-
-        let mut rep = ckpt_replica::ReplicatedStore::fresh(3, 2);
-        rep.store("k", &data, &cost()).unwrap();
-        let mirrored = rep.replica_set().bytes_ingested();
-
-        // RS(4,2) moves 1.5x the payload (+ tiny headers); replication
-        // moves 3x. The coded path must land at or under 0.55x.
-        assert!(
-            (coded as f64) < 0.55 * mirrored as f64,
-            "coded {coded} vs mirrored {mirrored}"
-        );
-    }
-
-    #[test]
-    fn survives_any_m_losses_and_refuses_beyond() {
+    /// Commit intact, then lose `lost` nodes for every `lost` up to
+    /// `tolerated` (reads must serve), then one more (reads must refuse).
+    fn tolerates_exactly<C: ShardCodec>(fresh: fn() -> QuorumStore<C>, tolerated: usize, refused: StorageError) {
         let data = payload(10_000);
-        for lost in 1..=2usize {
-            let mut s = ErasureStore::fresh(4, 2);
+        for lost in 1..=tolerated + 1 {
+            let mut s = fresh();
             s.store("k", &data, &cost()).unwrap();
             for i in 0..lost {
                 s.replica_set().node(i).fail();
             }
-            let (bytes, _) = s.load("k", &cost()).unwrap();
-            assert_eq!(bytes, data, "lost {lost} nodes");
+            match s.load("k", &cost()) {
+                Ok((bytes, _)) => assert!(lost <= tolerated && bytes == data, "lost {lost} nodes"),
+                Err(e) => assert_eq!((lost, e), (tolerated + 1, refused.clone())),
+            }
         }
-        let mut s = ErasureStore::fresh(4, 2);
-        s.store("k", &data, &cost()).unwrap();
-        for i in 0..3 {
-            s.replica_set().node(i).fail();
-        }
-        assert_eq!(
-            s.load("k", &cost()),
-            Err(StorageError::TooManyShardsLost { intact: 3, needed: 4 })
-        );
     }
 
     #[test]
-    fn read_repair_rebuilds_dropped_and_torn_shards() {
+    fn losses_within_tolerance_read_and_beyond_refuse_typed() {
+        tolerates_exactly(|| ReplicatedStore::fresh(3, 2), 1, StorageError::QuorumLost { acked: 1, needed: 2 });
+        tolerates_exactly(|| ErasureStore::fresh(4, 2), 2, StorageError::TooManyShardsLost { intact: 3, needed: 4 });
+    }
+
+    /// Drop and corrupt frames, then one read must serve the object and
+    /// rebuild every damaged node intact; a second read repairs nothing.
+    fn read_repair_rebuilds<C: ShardCodec>(mut s: QuorumStore<C>, dropped: &[usize], torn: &[usize]) -> QuorumStore<C> {
         let data = payload(5000);
-        let mut s = ErasureStore::fresh(4, 2);
         s.store("k", &data, &cost()).unwrap();
         let set = s.replica_set();
-        set.node(1).drop_key("k");
-        set.node(4).corrupt_key("k");
-        let (bytes, _) = s.load("k", &cost()).unwrap();
-        assert_eq!(bytes, data);
+        dropped.iter().for_each(|&i| set.node(i).drop_key("k"));
+        for &i in torn {
+            set.node(i).corrupt_key("k");
+            assert_eq!(set.node(i).probe("k"), Probe::Torn { version: 1 });
+        }
+        assert_eq!(s.load("k", &cost()).unwrap().0, data);
+        for &i in dropped.iter().chain(torn) {
+            assert!(matches!(set.node(i).probe("k"), Probe::Valid(_)), "node {i} not repaired intact");
+        }
+        let repairs = s.counters().repairs;
+        s.load("k", &cost()).unwrap();
+        assert_eq!(s.counters().repairs, repairs, "the next read must be repair-free");
+        s
+    }
+
+    #[test]
+    fn read_repair_rebuilds_dropped_and_torn_frames() {
+        assert_eq!(read_repair_rebuilds(ReplicatedStore::fresh(3, 2), &[], &[1]).stats().repairs, 1);
+        let s = read_repair_rebuilds(ErasureStore::fresh(4, 2), &[1], &[4]);
         assert_eq!(s.stats().repairs, 2);
         assert_eq!(s.stats().decodes, 1, "a data shard was lost: decode path");
-        // Both repaired shards verify by digest on a fresh probe.
-        for i in [1usize, 4] {
+    }
+
+    /// With `victims` down a write cannot reach quorum: it must refuse
+    /// typed and leave nothing behind — no traffic, no readable object.
+    fn quorum_miss_rolls_back<C: ShardCodec>(
+        mut s: QuorumStore<C>,
+        victims: &[usize],
+        objects: &[(&str, &[u8])],
+        refused: StorageError,
+    ) -> QuorumStore<C> {
+        let set = s.replica_set();
+        victims.iter().for_each(|&i| set.node(i).fail());
+        let err = match objects {
+            [(key, data)] => s.store(key, data, &cost()).map(|_| ()),
+            _ => s.store_batch(objects, &cost()).map(|_| ()),
+        };
+        assert_eq!(err, Err(refused));
+        assert_eq!(set.bytes_ingested(), 0);
+        victims.iter().for_each(|&i| set.node(i).repair());
+        for (key, _) in objects {
             assert!(
-                matches!(set.node(i).probe("k"), Probe::Valid(_)),
-                "node {i} not repaired intact"
+                matches!(s.load(key, &cost()), Err(StorageError::NotFound(_))),
+                "object {key} of the failed commit must not survive"
             );
         }
-        // And the next read is repair-free.
-        s.load("k", &cost()).unwrap();
-        assert_eq!(s.stats().repairs, 2);
+        s
     }
 
     #[test]
-    fn write_quorum_miss_rolls_the_shards_back() {
-        let mut s = ErasureStore::fresh(4, 2);
-        // w = 5 of 6: two nodes down refuse the commit.
-        s.replica_set().node(0).fail();
-        s.replica_set().node(1).fail();
-        let err = s.store("k", &payload(256), &cost()).unwrap_err();
-        assert!(matches!(err, StorageError::QuorumLost { acked: 4, needed: 5 }));
-        // Nothing leaked onto the four nodes that took shards.
-        assert_eq!(s.replica_set().bytes_ingested(), 0);
-        s.replica_set().node(0).repair();
-        s.replica_set().node(1).repair();
-        assert!(matches!(s.load("k", &cost()), Err(StorageError::NotFound(_))));
+    fn write_quorum_miss_is_typed_and_rolled_back() {
+        let lost = StorageError::QuorumLost { acked: 1, needed: 2 };
+        let s = quorum_miss_rolls_back(ReplicatedStore::fresh(3, 2), &[1, 2], &[("k", b"x")], lost.clone());
+        assert_eq!(s.stats().quorum_losses, 1);
+        let two = [("a", b"aa".as_slice()), ("b", b"bb".as_slice())];
+        let s = quorum_miss_rolls_back(ReplicatedStore::fresh(3, 2), &[1, 2], &two, lost);
+        assert_eq!(s.stats().quorum_losses, 1);
+        let lost = StorageError::QuorumLost { acked: 4, needed: 5 };
+        let s = quorum_miss_rolls_back(ErasureStore::fresh(4, 2), &[0, 1], &[("k", &payload(256))], lost.clone());
+        assert_eq!(s.stats().quorum_losses, 1);
+        quorum_miss_rolls_back(ErasureStore::fresh(4, 2), &[2, 3], &refs(&coded_objects()), lost);
+    }
+
+    /// A batch commits every object in one ack cycle; the same objects
+    /// one by one pay a cycle each.
+    fn batch_is_one_ack_cycle<C: ShardCodec>(fresh: fn() -> QuorumStore<C>, objects: &[(String, Vec<u8>)]) {
+        let mut batched = fresh();
+        let r = batched.store_batch(&refs(objects), &cost()).unwrap();
+        assert_eq!((r.objects, r.ack_cycles), (objects.len() as u64, 1));
+        let c = batched.counters();
+        assert_eq!((c.commits, c.ack_cycles), (objects.len() as u64, 1));
+        let all: Vec<u32> = (0..batched.codec().nodes() as u32).collect();
+        for (k, d) in objects {
+            assert_eq!(&batched.load(k, &cost()).unwrap().0, d);
+            assert_eq!(batched.replica_manifest(k).unwrap().acked, all);
+        }
+        let mut looped = fresh();
+        for (k, d) in objects {
+            looped.store(k, d, &cost()).unwrap();
+        }
+        assert_eq!(looped.counters().ack_cycles, objects.len() as u64);
     }
 
     #[test]
-    fn delete_tombstones_and_reads_refuse_afterward() {
-        let mut s = ErasureStore::fresh(4, 2);
+    fn batched_commit_amortizes_ack_cycles() {
+        let objects: Vec<(String, Vec<u8>)> =
+            (0..8).map(|i| (format!("j/pid{i}/seq00000001"), vec![i as u8; 64])).collect();
+        batch_is_one_ack_cycle(|| ReplicatedStore::fresh(3, 2), &objects);
+        batch_is_one_ack_cycle(|| ErasureStore::fresh(4, 2), &coded_objects());
+    }
+
+    /// Node `missed` misses the delete and keeps a stale copy: the
+    /// tombstone must outrank it, and reads repair instead of resurrect.
+    fn delete_does_not_resurrect<C: ShardCodec>(mut s: QuorumStore<C>, missed: usize) {
         s.store("k", &payload(100), &cost()).unwrap();
+        s.replica_set().node(missed).fail();
         s.delete("k").unwrap();
-        assert!(matches!(s.load("k", &cost()), Err(StorageError::NotFound(_))));
+        s.replica_set().node(missed).repair();
+        for _ in 0..2 {
+            assert!(matches!(s.load("k", &cost()), Err(StorageError::NotFound(_))));
+        }
         assert!(s.list().is_empty());
     }
 
     #[test]
-    fn batch_commit_is_one_ack_cycle_and_all_or_nothing() {
-        let mut s = ErasureStore::fresh(4, 2);
-        let objects: Vec<(String, Vec<u8>)> = (0..8)
-            .map(|i| (format!("o/{i}"), payload(300 + i * 17)))
-            .collect();
-        let refs: Vec<(&str, &[u8])> = objects
-            .iter()
-            .map(|(k, d)| (k.as_str(), d.as_slice()))
-            .collect();
-        let r = s.store_batch(&refs, &cost()).unwrap();
-        assert_eq!((r.objects, r.ack_cycles), (8, 1));
-        for (k, d) in &objects {
-            assert_eq!(&s.load(k, &cost()).unwrap().0, d);
-        }
-
-        // Quorum miss: the whole batch disappears.
-        let mut s2 = ErasureStore::fresh(4, 2);
-        s2.replica_set().node(2).fail();
-        s2.replica_set().node(3).fail();
-        assert!(s2.store_batch(&refs, &cost()).is_err());
-        s2.replica_set().node(2).repair();
-        s2.replica_set().node(3).repair();
-        for (k, _) in &objects {
-            assert!(
-                matches!(s2.load(k, &cost()), Err(StorageError::NotFound(_))),
-                "object {k} leaked from the aborted batch"
-            );
-        }
-        assert_eq!(s2.replica_set().bytes_ingested(), 0);
+    fn delete_is_tombstoned_and_does_not_resurrect() {
+        delete_does_not_resurrect(ReplicatedStore::fresh(3, 2), 2);
+        delete_does_not_resurrect(ErasureStore::fresh(4, 2), 5);
     }
 
     #[test]
-    fn commit_latency_beats_equal_survivability_replication() {
+    fn coded_commit_beats_equal_survivability_replication() {
         // RS(4,2) and replicated(3,2) both survive any single fault at
         // read time, but the coded commit moves half the bytes.
         let data = payload(256 * 1024);
-        let c = cost();
         let mut ec = ErasureStore::fresh(4, 2);
-        let t_ec = ec.store("k", &data, &c).unwrap().time_ns;
-        let mut rep = ckpt_replica::ReplicatedStore::fresh(3, 2);
-        let t_rep = rep.store("k", &data, &c).unwrap().time_ns;
-        assert!(
-            t_ec < t_rep,
-            "coded commit {t_ec}ns must beat mirrored {t_rep}ns"
-        );
+        let t_ec = ec.store("k", &data, &cost()).unwrap().time_ns;
+        let coded = ec.replica_set().bytes_ingested();
+        let mut rep = ReplicatedStore::fresh(3, 2);
+        let t_rep = rep.store("k", &data, &cost()).unwrap().time_ns;
+        let mirrored = rep.replica_set().bytes_ingested();
+        // RS(4,2) moves 1.5x the payload (+ tiny headers); replication
+        // moves 3x. The coded path must land at or under 0.55x.
+        assert!((coded as f64) < 0.55 * mirrored as f64, "coded {coded} vs mirrored {mirrored}");
+        assert!(t_ec < t_rep, "coded commit {t_ec}ns must beat mirrored {t_rep}ns");
+    }
+
+    // The striped-pool tests, run over both codecs.
+
+    fn lineages(n: u32) -> Vec<String> {
+        (0..n).map(|pid| ImageKey::new("j", pid, 1).to_string()).collect()
+    }
+
+    fn round_trip_and_amortize<C: ShardCodec>(mut s: Striped<C>, len: usize) {
+        let objects: Vec<(String, Vec<u8>)> =
+            lineages(16).into_iter().enumerate().map(|(pid, k)| (k, vec![pid as u8; len])).collect();
+        let r = s.store_batch(&refs(&objects), &cost()).unwrap();
+        assert_eq!(r.objects, 16);
+        assert!(r.ack_cycles <= 4, "one ack cycle per participating stripe, got {}", r.ack_cycles);
+        for (k, d) in &objects {
+            assert_eq!(&s.load(k, &cost()).unwrap().0, d);
+        }
+        assert_eq!(s.list().len(), 16);
+    }
+
+    #[test]
+    fn striped_pools_round_trip_and_amortize_per_stripe() {
+        round_trip_and_amortize(StripedStore::fresh(4, 3, 2), 32);
+        round_trip_and_amortize(EcStripedStore::fresh(4, 4, 2), 1024);
+    }
+
+    fn cross_stripe_batch_is_all_or_nothing<C: ShardCodec>(mut s: Striped<C>) {
+        let objects = lineages(8);
+        // Kill stripe 1's write quorum (2 of 3 replicas, or 2 of 6 shard
+        // nodes against w = 5).
+        let set = s.striped_set();
+        set.stripe(1).node(0).fail();
+        set.stripe(1).node(1).fail();
+        let refs: Vec<(&str, &[u8])> = objects.iter().map(|k| (k.as_str(), b"x".as_slice())).collect();
+        let err = s.store_batch(&refs, &cost()).unwrap_err();
+        assert!(matches!(err, StorageError::QuorumLost { .. }));
+        // Heal everything: no object of the failed batch may have survived,
+        // including the ones whose stripe committed before the failure.
+        set.stripe(1).node(0).repair();
+        set.stripe(1).node(1).repair();
+        for k in &objects {
+            assert!(
+                matches!(s.load(k, &cost()), Err(StorageError::NotFound(_))),
+                "object {k} leaked out of the aborted cross-stripe batch"
+            );
+        }
+    }
+
+    #[test]
+    fn cross_stripe_batches_are_all_or_nothing() {
+        cross_stripe_batch_is_all_or_nothing(StripedStore::fresh(2, 3, 2));
+        cross_stripe_batch_is_all_or_nothing(EcStripedStore::fresh(2, 4, 2));
+    }
+
+    fn damaged_stripe_never_bleeds<C: ShardCodec>(
+        mut s: Striped<C>,
+        lost: usize,
+        refused: fn(&StorageError) -> bool,
+    ) {
+        let keys = lineages(8);
+        for k in &keys {
+            s.store(k, k.as_bytes(), &cost()).unwrap();
+        }
+        // Lose more of stripe 0 than its codec tolerates.
+        let set = s.striped_set();
+        for i in 0..lost {
+            set.stripe(0).node(i).fail();
+        }
+        for k in &keys {
+            match set.route(k) {
+                0 => {
+                    let got = s.load(k, &cost());
+                    assert!(got.as_ref().is_err_and(refused), "damaged stripe must refuse {k} typed, got {got:?}");
+                }
+                _ => assert_eq!(s.load(k, &cost()).unwrap().0, k.as_bytes(), "healthy stripe must still serve {k}"),
+            }
+        }
+        assert!(!s.available(), "a quorum-less stripe degrades the pool");
+    }
+
+    #[test]
+    fn damaged_stripe_never_bleeds_into_healthy_ones() {
+        damaged_stripe_never_bleeds(StripedStore::fresh(2, 3, 2), 2, |e| {
+            matches!(e, StorageError::QuorumLost { .. })
+        });
+        // Three of six shards: beyond m = 2.
+        damaged_stripe_never_bleeds(EcStripedStore::fresh(2, 4, 2), 3, |e| {
+            matches!(e, StorageError::TooManyShardsLost { .. })
+        });
     }
 }

@@ -144,20 +144,10 @@ impl ReplicaNode {
         }
     }
 
-    /// Store an intact frame. Pure data copy — admission already happened.
+    /// Store an intact frame: a torn write whose tear lies past the end of
+    /// the payload. Pure data copy — admission already happened.
     pub fn put(&self, key: &str, version: u64, data: &[u8]) {
-        let mut s = self.state.lock();
-        s.intact_memo.remove(key);
-        s.bytes_ingested += data.len() as u64;
-        s.frames.insert(
-            key.to_string(),
-            Frame {
-                version,
-                digest: fnv1a64(data),
-                tombstone: false,
-                data: data.to_vec(),
-            },
-        );
+        self.put_torn(key, version, data, data.len());
     }
 
     /// Store a torn frame: the digest of the full payload over only its
@@ -236,24 +226,6 @@ impl ReplicaNode {
         s.frames.remove(key);
     }
 
-    /// Remove the frame under `key` only if it is still at `version` —
-    /// the rollback a failed quorum write issues to its partial acks.
-    ///
-    /// The dropped frame's bytes (full or torn prefix) come back out of
-    /// `bytes_ingested`: the counter reports *committed* traffic, and a
-    /// rolled-back write never committed. Without this, a torn frame from
-    /// a failed quorum commit would inflate the C12/C16 traffic tables
-    /// with attempted bytes.
-    pub fn drop_if_version(&self, key: &str, version: u64) {
-        let mut s = self.state.lock();
-        if s.frames.get(key).is_some_and(|f| f.version == version) {
-            s.intact_memo.remove(key);
-            if let Some(f) = s.frames.remove(key) {
-                s.bytes_ingested = s.bytes_ingested.saturating_sub(f.data.len() as u64);
-            }
-        }
-    }
-
     /// Raw frame under `key`, if any — the pre-write snapshot a quorum
     /// commit takes so a failed overwrite can be rolled back to the
     /// committed state instead of destroying it. Pure read: no digest
@@ -262,12 +234,15 @@ impl ReplicaNode {
         self.state.lock().frames.get(key).cloned()
     }
 
-    /// Roll a failed quorum write back: if the frame under `key` is still
-    /// at `version` (full or torn), remove it — uncommitting its bytes
-    /// exactly like [`ReplicaNode::drop_if_version`] — and reinstate
-    /// `prior`, the frame this node held before the failed write fanned
-    /// out. The reinstated payload is *not* re-counted into
-    /// `bytes_ingested`: it was charged when the prior frame originally
+    /// Roll a failed or retracted quorum write back: if the frame under
+    /// `key` is still at `version` (full or torn), remove it and reinstate
+    /// `prior`, the frame this node held before the write fanned out. A
+    /// newer frame is never touched.
+    ///
+    /// The removed frame's bytes (full or torn prefix) come back out of
+    /// `bytes_ingested`: the counter reports *committed* traffic, and a
+    /// rolled-back write never committed. The reinstated payload is *not*
+    /// re-counted: it was charged when the prior frame originally
     /// committed and never logically left the medium.
     pub fn rollback_to(&self, key: &str, version: u64, prior: Option<Frame>) {
         let mut s = self.state.lock();
@@ -312,12 +287,12 @@ impl ReplicaNode {
     /// Payload bytes this replica has accepted for *committed* writes
     /// (torn writes count only what landed). Unlike [`used_bytes`], this
     /// is commit traffic, not occupancy: deletes and rewrites don't shrink
-    /// it. The one thing that does is [`drop_if_version`] — the rollback
+    /// it. The one thing that does is [`rollback_to`] — the rollback
     /// of a failed quorum commit retracts the attempt's bytes, so the
     /// counter reports what committed, not what was attempted.
     ///
     /// [`used_bytes`]: ReplicaNode::used_bytes
-    /// [`drop_if_version`]: ReplicaNode::drop_if_version
+    /// [`rollback_to`]: ReplicaNode::rollback_to
     pub fn bytes_ingested(&self) -> u64 {
         self.state.lock().bytes_ingested
     }
@@ -440,13 +415,13 @@ mod tests {
         b.put_torn("k", 5, &[1u8; 100], 40);
         assert_eq!(set.bytes_ingested(), 140);
         // The failed commit rolls both back: attempted bytes come out.
-        a.drop_if_version("k", 5);
-        b.drop_if_version("k", 5);
+        a.rollback_to("k", 5, None);
+        b.rollback_to("k", 5, None);
         assert_eq!(set.bytes_ingested(), 0, "rolled-back bytes must not count as traffic");
         // A later committed write at a different version is untouched by a
         // stale rollback.
         a.put("k", 6, &[2u8; 30]);
-        a.drop_if_version("k", 5);
+        a.rollback_to("k", 5, None);
         assert_eq!(a.bytes_ingested(), 30);
     }
 

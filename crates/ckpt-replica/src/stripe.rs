@@ -1,13 +1,15 @@
-//! A striped replica pool: K independent quorum sets behind one
+//! A striped pool: K independent quorum stores behind one
 //! [`StableStorage`] facade.
 //!
 //! A single [`ReplicaSet`] serializes every commit in the cluster behind
-//! one set of N replicas — at thousands of ranks per round the replica
-//! pool, not the coordinator, becomes the bottleneck. Striping splits the
-//! key space across K *independent* quorum sets (each its own N replicas,
-//! its own write quorum, its own faultpoint namespace `stripe<k>/...`), so
+//! one node group — at thousands of ranks per round the storage pool, not
+//! the coordinator, becomes the bottleneck. Striping splits the key space
+//! across K *independent* groups (each its own nodes, its own write
+//! quorum, its own faultpoint namespace `{STRIPE_PREFIX}<j>/...`), so
 //! commits to different stripes proceed in parallel in virtual time: a
 //! batched round's commit cost is the *maximum* stripe time, not the sum.
+//! [`Striped`] works over any [`ShardCodec`]: [`StripedStore`] mirrors,
+//! `ckpt_ec::EcStripedStore` codes.
 //!
 //! ## Stripe mapping
 //!
@@ -21,8 +23,8 @@
 //!
 //! Damage is therefore contained by construction: losing a stripe's quorum
 //! takes out exactly the lineages mapped to it — objects on healthy
-//! stripes stay readable, and a read of a damaged lineage gets the typed
-//! [`StorageError::QuorumLost`], never bytes from a neighbouring stripe.
+//! stripes stay readable, and a read of a damaged lineage gets the codec's
+//! typed refusal, never bytes from a neighbouring stripe.
 
 use std::sync::Arc;
 
@@ -36,8 +38,9 @@ use simos::faultpoint::FaultHandle;
 use simos::trace::TraceHandle;
 
 use crate::backoff::BackoffPolicy;
+use crate::mirror::{Mirror, ReplicaConfig};
 use crate::node::{fnv1a64, ReplicaSet};
-use crate::store::{ReplStats, ReplicaConfig, ReplicatedStore};
+use crate::store::{QuorumStats, QuorumStore, ShardCodec};
 
 /// Which stripe a key lives on: lineage hash for images, content digest
 /// for chunks, whole-key hash otherwise. Pure and total — every client
@@ -59,16 +62,12 @@ pub struct StripedReplicaSet {
 }
 
 impl StripedReplicaSet {
-    /// `k` stripes of `n` replicas each.
+    /// `k` stripes of `n` nodes each.
     pub fn new(k: usize, n: usize) -> Arc<Self> {
         assert!(k >= 1, "need at least one stripe");
         Arc::new(StripedReplicaSet {
             stripes: (0..k).map(|_| ReplicaSet::new(n)).collect(),
         })
-    }
-
-    pub fn width(&self) -> usize {
-        self.stripes.len()
     }
 
     pub fn stripe(&self, j: usize) -> Arc<ReplicaSet> {
@@ -85,137 +84,115 @@ impl StripedReplicaSet {
     }
 }
 
-/// One client handle over a striped pool: a [`ReplicatedStore`] per
-/// stripe, each with its own faultpoint namespace `stripe<k>/r<i>/<op>`.
+/// One client handle over a striped pool: a [`QuorumStore`] per stripe.
 ///
-/// Single-object stores go through the framed batch path (a batch of one)
-/// so the crash matrix exercises the same commit machinery at every
-/// object count; reads and deletes route straight to the owning stripe.
-pub struct StripedStore {
+/// Single-object stores go through the framed batch path (a batch of one,
+/// at the `{STRIPE_PREFIX}<j>/{NODE}<i>/batch` sites) so the crash matrix
+/// exercises the same commit machinery at every object count; reads and
+/// deletes route straight to the owning stripe.
+pub struct Striped<C: ShardCodec> {
     set: Arc<StripedReplicaSet>,
-    stores: Vec<ReplicatedStore>,
-    cfg: ReplicaConfig,
+    stores: Vec<QuorumStore<C>>,
 }
 
-impl StripedStore {
-    pub fn new(set: Arc<StripedReplicaSet>, cfg: ReplicaConfig) -> Self {
+/// A striped pool of `(n, w)` replicated stripes.
+pub type StripedStore = Striped<Mirror>;
+
+impl Striped<Mirror> {
+    pub fn config(&self) -> ReplicaConfig {
+        self.stores[0].config()
+    }
+}
+
+impl<C: ShardCodec> Striped<C> {
+    /// A pool over `set`, each stripe with the codec's node count.
+    pub fn new(set: Arc<StripedReplicaSet>, cfg: C::Config) -> Self {
         let stores = set
             .stripes()
             .iter()
             .enumerate()
             .map(|(j, s)| {
-                ReplicatedStore::new(s.clone(), cfg).with_site_prefix(format!("stripe{j}"))
+                QuorumStore::new(s.clone(), cfg.clone()).with_site_prefix(format!("{}{j}", C::STRIPE_PREFIX))
             })
             .collect();
-        StripedStore { set, stores, cfg }
+        Striped { set, stores }
     }
 
-    /// Convenience: a fresh `k`-stripe pool of `(n, w)` quorum sets plus
-    /// its first client handle.
-    pub fn fresh(k: usize, n: usize, w: usize) -> Self {
-        StripedStore::new(StripedReplicaSet::new(k, n), ReplicaConfig::new(n, w))
+    /// A fresh `stripes`-wide pool plus its first client handle; `(a, b)`
+    /// as for [`QuorumStore::fresh`].
+    pub fn fresh(stripes: usize, a: usize, b: usize) -> Self {
+        let cfg = C::geometry(a, b);
+        let nodes = C::configure(cfg.clone()).0.nodes();
+        Striped::new(StripedReplicaSet::new(stripes, nodes), cfg)
     }
 
-    pub fn with_faults(mut self, faults: FaultHandle) -> Self {
-        self.stores = self
-            .stores
-            .into_iter()
-            .map(|s| s.with_faults(faults.clone()))
-            .collect();
+    fn map(mut self, f: impl Fn(QuorumStore<C>) -> QuorumStore<C>) -> Self {
+        self.stores = self.stores.into_iter().map(f).collect();
         self
     }
 
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.stores = self
-            .stores
-            .into_iter()
-            .map(|s| s.with_trace(trace.clone()))
-            .collect();
-        self
+    pub fn with_faults(self, faults: FaultHandle) -> Self {
+        self.map(|s| s.with_faults(faults.clone()))
     }
 
-    pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
-        self.stores = self
-            .stores
-            .into_iter()
-            .map(|s| s.with_pool(pool.clone()))
-            .collect();
-        self
+    pub fn with_trace(self, trace: TraceHandle) -> Self {
+        self.map(|s| s.with_trace(trace.clone()))
     }
 
-    pub fn with_backoff(mut self, backoff: BackoffPolicy) -> Self {
-        self.cfg.backoff = backoff;
-        self.stores = self
-            .stores
-            .into_iter()
-            .map(|s| s.with_backoff(backoff))
-            .collect();
-        self
+    pub fn with_pool(self, pool: Arc<Pool>) -> Self {
+        self.map(|s| s.with_pool(pool.clone()))
     }
 
-    pub fn config(&self) -> ReplicaConfig {
-        self.cfg
+    pub fn with_backoff(self, backoff: BackoffPolicy) -> Self {
+        self.map(|s| s.with_backoff(backoff))
     }
 
     pub fn striped_set(&self) -> Arc<StripedReplicaSet> {
         self.set.clone()
     }
 
-    pub fn width(&self) -> usize {
-        self.stores.len()
+    /// Counters summed over every stripe's client handle.
+    pub fn stats(&self) -> C::Stats {
+        let mut sum = QuorumStats::default();
+        self.stores.iter().for_each(|s| sum += s.counters());
+        sum.into()
     }
 
-    /// Counters summed over every stripe's client handle.
-    pub fn stats(&self) -> ReplStats {
-        self.stores.iter().map(|s| s.stats()).fold(
-            ReplStats::default(),
-            |a, b| ReplStats {
-                commits: a.commits + b.commits,
-                retries: a.retries + b.retries,
-                repairs: a.repairs + b.repairs,
-                quorum_losses: a.quorum_losses + b.quorum_losses,
-                ack_cycles: a.ack_cycles + b.ack_cycles,
-            },
-        )
+    fn home(&self, key: &str) -> usize {
+        stripe_route(key, self.stores.len())
     }
 
     /// Batched commit with per-stripe receipts: objects are grouped by
-    /// stripe (original order preserved within a stripe) and each
-    /// participating stripe commits its group as ONE framed batch.
-    ///
-    /// Stripe admission runs sequentially in stripe-index order — the
-    /// deterministic schedule — but the stripes are independent quorum
-    /// sets, so in *virtual* time they commit concurrently: the aggregate
-    /// [`BatchReceipt::time_ns`] is the maximum stripe time, and
-    /// `ack_cycles` is one per participating stripe.
+    /// stripe (original order preserved) and each participating stripe
+    /// commits its group as ONE framed batch, sequentially in stripe
+    /// order. The stripes are independent, so in *virtual* time they
+    /// commit concurrently: the aggregate [`BatchReceipt::time_ns`] is the
+    /// maximum stripe time, `ack_cycles` one per participating stripe.
     ///
     /// All-or-nothing across stripes: if any stripe refuses quorum, every
-    /// object already committed on earlier stripes is retracted at its
-    /// exact version and the error is returned.
+    /// earlier stripe's commit is retracted — each node gets back the
+    /// frame it held before, so previously committed values survive.
     pub fn store_batch_detailed(
         &mut self,
         objects: &[(&str, &[u8])],
         cost: &CostModel,
     ) -> Result<Vec<(usize, BatchReceipt)>, StorageError> {
-        let k = self.stores.len();
-        let mut groups: Vec<Vec<(&str, &[u8])>> = vec![Vec::new(); k];
+        let width = self.stores.len();
+        let mut groups: Vec<Vec<(&str, &[u8])>> = vec![Vec::new(); width];
         for &(key, data) in objects {
-            groups[stripe_route(key, k)].push((key, data));
+            groups[stripe_route(key, width)].push((key, data));
         }
-
-        let mut receipts: Vec<(usize, BatchReceipt)> = Vec::new();
-        for (j, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            match self.stores[j].store_batch(group, cost) {
-                Ok(r) => receipts.push((j, r)),
+        let mut receipts = Vec::new();
+        let mut undos = Vec::new();
+        for (j, group) in groups.iter().enumerate().filter(|(_, g)| !g.is_empty()) {
+            match self.stores[j].commit(group, true, cost) {
+                Ok((r, undo)) => {
+                    receipts.push((j, r));
+                    undos.push((j, undo));
+                }
                 Err(e) => {
-                    // Peel the earlier stripes' commits back off.
-                    for &(done, _) in receipts.iter().rev() {
-                        for &(key, _) in &groups[done] {
-                            self.stores[done].retract_commit(key);
-                        }
+                    for (done, undo) in undos.into_iter().rev() {
+                        self.stores[done].retract_commit(undo);
                     }
                     return Err(e);
                 }
@@ -225,45 +202,31 @@ impl StripedStore {
     }
 }
 
-impl StableStorage for StripedStore {
+impl<C: ShardCodec> StableStorage for Striped<C> {
     fn class(&self) -> StorageClass {
         StorageClass::Remote
     }
 
     fn label(&self) -> String {
-        format!("striped({}x{},{})", self.stores.len(), self.cfg.n, self.cfg.w)
+        self.stores[0].codec().striped_label(self.stores.len())
     }
 
-    fn store(
-        &mut self,
-        key: &str,
-        data: &[u8],
-        cost: &CostModel,
-    ) -> Result<StoreReceipt, StorageError> {
-        // A batch of one: single-object stores exercise the same framed
-        // commit path (and the same `stripe<k>/r<i>/batch` faultpoint
-        // sites) as full rounds.
-        let j = stripe_route(key, self.stores.len());
-        let r = self.stores[j].store_batch(&[(key, data)], cost)?;
-        Ok(StoreReceipt {
-            key: key.to_string(),
-            bytes: r.bytes,
-            time_ns: r.time_ns,
-        })
+    fn store(&mut self, key: &str, data: &[u8], cost: &CostModel) -> Result<StoreReceipt, StorageError> {
+        let r = self.store_batch(&[(key, data)], cost)?;
+        Ok(StoreReceipt { key: key.to_string(), bytes: r.bytes, time_ns: r.time_ns })
     }
 
     fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
-        self.stores[stripe_route(key, self.stores.len())].load(key, cost)
+        self.stores[self.home(key)].load(key, cost)
     }
 
     fn delete(&mut self, key: &str) -> Result<(), StorageError> {
-        let j = stripe_route(key, self.stores.len());
+        let j = self.home(key);
         self.stores[j].delete(key)
     }
 
     fn list(&self) -> Vec<String> {
-        // Each stripe's list is already sorted; the union across disjoint
-        // key partitions just needs a merge-sort.
+        // Disjoint key partitions: the union just needs a sort.
         let mut keys: Vec<String> = self.stores.iter().flat_map(|s| s.list()).collect();
         keys.sort();
         keys
@@ -281,15 +244,11 @@ impl StableStorage for StripedStore {
     }
 
     fn on_node_failure(&mut self) {
-        for s in &mut self.stores {
-            s.on_node_failure();
-        }
+        self.stores.iter_mut().for_each(|s| s.on_node_failure());
     }
 
     fn on_node_repair(&mut self) {
-        for s in &mut self.stores {
-            s.on_node_repair();
-        }
+        self.stores.iter_mut().for_each(|s| s.on_node_repair());
     }
 
     fn on_power_down(&mut self) {
@@ -297,19 +256,15 @@ impl StableStorage for StripedStore {
     }
 
     fn replica_manifest(&self, key: &str) -> Option<ReplicaManifest> {
-        self.stores[stripe_route(key, self.stores.len())].replica_manifest(key)
+        self.stores[self.home(key)].replica_manifest(key)
     }
 
-    fn store_batch(
-        &mut self,
-        objects: &[(&str, &[u8])],
-        cost: &CostModel,
-    ) -> Result<BatchReceipt, StorageError> {
+    fn store_batch(&mut self, objects: &[(&str, &[u8])], cost: &CostModel) -> Result<BatchReceipt, StorageError> {
         let receipts = self.store_batch_detailed(objects, cost)?;
         Ok(BatchReceipt {
             objects: receipts.iter().map(|(_, r)| r.objects).sum(),
             bytes: receipts.iter().map(|(_, r)| r.bytes).sum(),
-            // Independent quorum sets commit concurrently in virtual time.
+            // Independent groups commit concurrently in virtual time.
             time_ns: receipts.iter().map(|(_, r)| r.time_ns).max().unwrap_or(0),
             ack_cycles: receipts.iter().map(|(_, r)| r.ack_cycles).sum(),
         })
@@ -320,10 +275,6 @@ impl StableStorage for StripedStore {
 mod tests {
     use super::*;
     use ckpt_storage::ImageKey;
-
-    fn cost() -> CostModel {
-        CostModel::circa_2005()
-    }
 
     #[test]
     fn lineages_are_stripe_stable() {
@@ -352,30 +303,8 @@ mod tests {
     }
 
     #[test]
-    fn striped_store_round_trips_and_amortizes_per_stripe() {
-        let mut s = StripedStore::fresh(4, 3, 2);
-        let objects: Vec<(String, Vec<u8>)> = (0..16)
-            .map(|pid| (ImageKey::new("j", pid, 1).to_string(), vec![pid as u8; 32]))
-            .collect();
-        let refs: Vec<(&str, &[u8])> = objects
-            .iter()
-            .map(|(k, d)| (k.as_str(), d.as_slice()))
-            .collect();
-        let r = s.store_batch(&refs, &cost()).unwrap();
-        assert_eq!(r.objects, 16);
-        assert!(
-            r.ack_cycles <= 4,
-            "one ack cycle per participating stripe, got {}",
-            r.ack_cycles
-        );
-        for (k, d) in &objects {
-            assert_eq!(s.load(k, &cost()).unwrap().0, *d);
-        }
-        assert_eq!(s.list().len(), 16);
-    }
-
-    #[test]
     fn batch_time_is_max_over_stripes_not_sum() {
+        let cost = CostModel::circa_2005();
         let mut one = StripedStore::fresh(1, 3, 2);
         let mut four = StripedStore::fresh(4, 3, 2);
         let objects: Vec<(String, Vec<u8>)> = (0..32)
@@ -385,67 +314,11 @@ mod tests {
             .iter()
             .map(|(k, d)| (k.as_str(), d.as_slice()))
             .collect();
-        let t1 = one.store_batch(&refs, &cost()).unwrap().time_ns;
-        let t4 = four.store_batch(&refs, &cost()).unwrap().time_ns;
+        let t1 = one.store_batch(&refs, &cost).unwrap().time_ns;
+        let t4 = four.store_batch(&refs, &cost).unwrap().time_ns;
         assert!(
             t4 * 2 < t1,
             "4 stripes must overlap commits in virtual time: {t4} vs {t1}"
         );
-    }
-
-    #[test]
-    fn cross_stripe_batch_is_all_or_nothing() {
-        let mut s = StripedStore::fresh(2, 3, 2);
-        let objects: Vec<String> = (0..8)
-            .map(|pid| ImageKey::new("j", pid, 1).to_string())
-            .collect();
-        // Find which stripe each object routes to and kill stripe 1's quorum.
-        let set = s.striped_set();
-        set.stripe(1).node(0).fail();
-        set.stripe(1).node(1).fail();
-        let refs: Vec<(&str, &[u8])> = objects
-            .iter()
-            .map(|k| (k.as_str(), b"x".as_slice()))
-            .collect();
-        let err = s.store_batch(&refs, &cost()).unwrap_err();
-        assert!(matches!(err, StorageError::QuorumLost { .. }));
-        // Heal everything: no object of the failed batch may have survived,
-        // including the ones whose stripe committed before the failure.
-        set.stripe(1).node(0).repair();
-        set.stripe(1).node(1).repair();
-        for k in &objects {
-            assert!(
-                matches!(s.load(k, &cost()), Err(StorageError::NotFound(_))),
-                "object {k} leaked out of the aborted cross-stripe batch"
-            );
-        }
-    }
-
-    #[test]
-    fn damaged_stripe_never_bleeds_into_healthy_ones() {
-        let mut s = StripedStore::fresh(2, 3, 2);
-        let keys: Vec<String> = (0..8)
-            .map(|pid| ImageKey::new("j", pid, 1).to_string())
-            .collect();
-        for k in &keys {
-            s.store(k, k.as_bytes(), &cost()).unwrap();
-        }
-        let set = s.striped_set();
-        set.stripe(0).node(0).fail();
-        set.stripe(0).node(1).fail();
-        for k in &keys {
-            match set.route(k) {
-                0 => assert!(
-                    matches!(s.load(k, &cost()), Err(StorageError::QuorumLost { .. })),
-                    "damaged stripe must refuse {k} with the typed error"
-                ),
-                _ => assert_eq!(
-                    s.load(k, &cost()).unwrap().0,
-                    k.as_bytes(),
-                    "healthy stripe must still serve {k}"
-                ),
-            }
-        }
-        assert!(!s.available(), "a quorum-less stripe degrades the pool");
     }
 }

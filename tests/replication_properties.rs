@@ -250,3 +250,57 @@ fn read_repair_rebuilds_damaged_replicas_to_intact_frames() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Durability regression: a refused overwrite rolls back every node it
+// wrote — the one torn mid-write included — so the torn node keeps its
+// committed copy and no attempted byte counts as ingested.
+// ---------------------------------------------------------------------
+
+use ckpt_restart::replica::{ReplicaConfig, ReplicaSet};
+use ckpt_restart::storage::StableStorage;
+use simos::faultpoint::{Fault, FaultHandle};
+
+/// At (3,2), store "old-value", then overwrite it from a second client
+/// while r1 is down and r0 tears after `keep` bytes at `site`.
+fn torn_refused_overwrite_keeps_the_committed_copy(site: &str, keep: u64, batch: bool) {
+    let cost = CostModel::circa_2005();
+    let set = ReplicaSet::new(3);
+    let mut first = ReplicatedStore::new(set.clone(), ReplicaConfig::new(3, 2));
+    first.store("k", b"old-value", &cost).unwrap();
+    set.node(1).fail();
+    let ingested = set.bytes_ingested();
+
+    let torn = FaultHandle::armed(site, Fault::TornWrite { keep_bytes: keep });
+    let mut second = ReplicatedStore::new(set.clone(), ReplicaConfig::new(3, 2)).with_faults(torn);
+    let err = if batch {
+        second.store_batch(&[("k", b"new-value".as_slice())], &cost).map(|_| ())
+    } else {
+        second.store("k", b"new-value", &cost).map(|_| ())
+    };
+    assert_eq!(err, Err(StorageError::QuorumLost { acked: 1, needed: 2 }));
+
+    set.node(0).repair();
+    set.node(1).repair();
+    assert!(
+        matches!(set.node(0).probe("k"), Probe::Valid(f) if f.data == b"old-value"),
+        "the torn node lost its committed copy: {:?}",
+        set.node(0).probe("k")
+    );
+    assert_eq!(set.bytes_ingested(), ingested, "a refused overwrite ingested bytes");
+    // One later loss is within tolerance: the committed value must read.
+    set.node(2).fail();
+    assert_eq!(second.load("k", &cost).unwrap().0, b"old-value");
+}
+
+#[test]
+fn torn_refused_overwrite_rolls_back_the_torn_node() {
+    torn_refused_overwrite_keeps_the_committed_copy("replica/r0/store@1", 2, false);
+}
+
+#[test]
+fn torn_refused_batch_overwrite_rolls_back_the_torn_node() {
+    // Batch frame: 16-byte header, 20-byte record header, the 1-byte key
+    // "k", then the payload — a cut at 39 lands 2 payload bytes.
+    torn_refused_overwrite_keeps_the_committed_copy("replica/r0/batch@1", 39, true);
+}

@@ -183,3 +183,44 @@ fn whole_stripe_failure_leaves_other_stripes_fully_readable() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Durability regression: when a later stripe refuses an overwrite batch,
+// the earlier stripes' commits are retracted back to their previously
+// committed values — not deleted.
+// ---------------------------------------------------------------------
+
+use ckpt_restart::ec::EcStripedStore;
+use ckpt_restart::replica::{ShardCodec, Striped};
+use ckpt_restart::storage::ImageKey;
+
+fn refused_cross_stripe_overwrite_keeps_committed_values<C: ShardCodec>(mut store: Striped<C>) {
+    let cost = CostModel::circa_2005();
+    let keys: Vec<String> = (0..8).map(|pid| ImageKey::new("j", pid, 1).to_string()).collect();
+    for k in &keys {
+        store.store(k, b"old", &cost).unwrap();
+    }
+    let set = store.striped_set();
+    assert!(keys.iter().any(|k| set.route(k) == 0) && keys.iter().any(|k| set.route(k) == 1));
+
+    set.stripe(1).node(0).fail();
+    set.stripe(1).node(1).fail();
+    let overwrite: Vec<(&str, &[u8])> = keys.iter().map(|k| (k.as_str(), b"new".as_slice())).collect();
+    let err = store.store_batch(&overwrite, &cost).unwrap_err();
+    assert!(matches!(err, StorageError::QuorumLost { .. }), "{}: got {err}", store.label());
+
+    set.stripe(1).node(0).repair();
+    set.stripe(1).node(1).repair();
+    for k in &keys {
+        match store.load(k, &cost) {
+            Ok((bytes, _)) => assert_eq!(bytes, b"old", "{}: {k} changed", store.label()),
+            Err(e) => panic!("{}: {k} (stripe {}) lost its committed value: {e}", store.label(), set.route(k)),
+        }
+    }
+}
+
+#[test]
+fn refused_cross_stripe_overwrite_keeps_every_committed_value() {
+    refused_cross_stripe_overwrite_keeps_committed_values(StripedStore::fresh(2, 3, 2));
+    refused_cross_stripe_overwrite_keeps_committed_values(EcStripedStore::fresh(2, 4, 2));
+}
