@@ -17,12 +17,14 @@ echo '== perfbench contract (smoke size) =='
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 echo '== crash-matrix gate (full cross product, deterministic, <60s) =='
-# Re-runs the exhaustive fault-injection matrix on its own with a hard
-# wall-clock ceiling: the matrix must stay cheap enough to never be
-# sampled or skipped in CI. (Binaries are already built by the test step,
-# so the 60 s budget is all matrix.)
+# Re-runs the exhaustive fault-injection matrix — every tier, the
+# shard-protocol sweep included — on its own with a hard wall-clock
+# ceiling: the matrix must stay cheap enough to never be sampled in CI.
+# (Binaries are already built by the test step, so the 60 s budget is all
+# matrix.) Each column's host wall time is printed, so a slow run names
+# the column that got slow.
 timeout 60 cargo test -q -p ckpt-restart --test crash_matrix -- --nocapture \
-    | grep -E 'crash matrix:|skipped:' | tail -20
+    | grep -E 'crash matrix:|column '
 
 echo '== replication gate: quorum properties + pinned report =='
 # The quorum-replication tier gets its own named gate so a regression
@@ -55,9 +57,10 @@ echo '== shard gate: striped-pool properties + protocol crash sweep + pinned rep
 # per-stripe damage must stay byte-identical on healthy stripes and
 # typed-QuorumLost on broken ones (never cross-stripe corruption); every
 # shard-commit and root-commit protocol faultpoint must recover
-# state-identical to a failure-free run; and the `report c14` scale
-# sweep (1k–10k nodes) is FNV-pinned and pool-width-invariant by the
-# golden test.
+# state-identical to a failure-free run (the crash matrix's
+# shard-protocol column, swept on its own so it fails under its own
+# name); and the `report c14` scale sweep (1k–10k nodes) is FNV-pinned
+# and pool-width-invariant by the golden test.
 cargo test -q -p ckpt-restart --test stripe_properties
 cargo test -q -p ckpt-restart --test shard_crash
 cargo test -q -p ckpt-bench --test golden_c14

@@ -16,8 +16,9 @@
 //!   1k–10k node scale model;
 //! * [`migrate`] — process migration with or without pod virtualization;
 //! * [`livemig`] — iterative pre-copy / post-copy live migration with a
-//!   dirty-rate-adaptive cutover, plus its crash-matrix tier
-//!   ([`migmatrix`]);
+//!   dirty-rate-adaptive cutover;
+//! * [`matrix`] — the crash matrix's cluster tiers (live migration, the
+//!   shard protocol) and [`crash_matrix`], which sweeps the whole matrix;
 //! * [`gang`] — gang scheduling via safe-preemption checkpoints;
 //! * [`analytics`] — mechanistic job runs under failures, and an
 //!   event-level Monte-Carlo model that scales the utilization analysis to
@@ -29,7 +30,7 @@ pub mod cluster;
 pub mod coordinator;
 pub mod gang;
 pub mod livemig;
-pub mod migmatrix;
+pub mod matrix;
 pub mod migrate;
 pub mod mpi;
 pub mod node;
@@ -44,7 +45,7 @@ pub use livemig::{
     migrate_postcopy, migrate_precopy, rebalance_rank_live, LiveMigConfig, PostCopyReport,
     PreCopyReport, RoundStat,
 };
-pub use migmatrix::{migration_matrix_cells, run_migration_tier, MIGRATION_MECHS};
+pub use matrix::{crash_matrix, MIGRATION_MECHS};
 pub use migrate::{migrate, MigrationMode, MigrationReport};
 pub use mpi::{JobInterrupt, MpiJob, RankRef};
 pub use node::{Node, NodeId};

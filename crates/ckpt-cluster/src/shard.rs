@@ -132,18 +132,23 @@ impl ShardedCoordinator {
     }
 
     /// Check a protocol faultpoint. Transients are absorbed by one retry
-    /// (the next check); anything else aborts the round.
+    /// (the next check). A fail-stop aborts the round; so does a torn
+    /// write, which is a fail-stop that cut the commit record short: the
+    /// coordinator dies the same way, and nothing it half-wrote counts.
     fn protocol_fault(&self, site: &str, bytes: u64) -> SimResult<()> {
         if self.faults.is_off() {
             return Ok(());
         }
-        match self.faults.check(site, bytes) {
-            None => Ok(()),
-            Some(Fault::Transient) => match self.faults.check(site, bytes) {
-                None | Some(Fault::Transient) => Ok(()),
-                Some(_) => Err(SimError::Usage(format!("{site}: coordinator lost"))),
-            },
-            Some(_) => Err(SimError::Usage(format!("{site}: coordinator lost"))),
+        let mut fault = self.faults.check(site, bytes);
+        if fault == Some(Fault::Transient) {
+            fault = self.faults.check(site, bytes);
+        }
+        match fault {
+            None | Some(Fault::Transient) => Ok(()),
+            Some(Fault::FailStop | Fault::TornWrite { .. }) => {
+                self.faults.set_crashed();
+                Err(SimError::Usage(format!("{site}: coordinator lost")))
+            }
         }
     }
 

@@ -9,16 +9,26 @@
 //!   step (verified over the whole guest data span, word by word).
 //! * **Detected** — the restart was rejected up front with a typed error
 //!   (no image, CRC/format validation, volatile medium lost the data).
-//! * **Skipped** — the fault kind does not apply at this site (a torn
-//!   write needs a byte stream); logged, never silently dropped.
 //! * **Violation** — anything else: a restart that "succeeded" with wrong
-//!   state, or a failure while an intact image demonstrably survives.
+//!   state, a failure while an intact image demonstrably survives, or an
+//!   armed fault that never fired (the cell would prove nothing).
 //!   A correct implementation produces **zero** of these.
 //!
-//! The site list itself is not hard-coded: a recording pass runs the same
-//! scenario fault-free and enumerates every site the mechanism actually
-//! visits (checkpoint phases, per-store byte offsets, chain segments,
-//! restart), so new instrumentation is swept in automatically.
+//! One driver, [`sweep`], runs every tier. A [`Column`] is a
+//! [`MatrixConfig`] plus two scenario functions: `record` runs the
+//! scenario fault-free under a recording handle, so the site list is not
+//! hard-coded — every site the column actually visits (checkpoint phases,
+//! per-store byte offsets, chain segments, restart) is swept, and new
+//! instrumentation joins automatically; `cell` runs it once armed and
+//! classifies the end state. Each recorded site is armed with every fault
+//! kind that applies there, so every cell executes.
+//! Columns fan out on a [`Pool`] behind its ordered merge: the cells come
+//! back in column order at any pool width.
+//!
+//! The process-level and hibernation columns live here ([`column()`]); the
+//! cluster tiers (live migration, the sharded coordinator's protocol) live
+//! in `ckpt_cluster::matrix`, which also owns the entry point that sweeps
+//! the whole matrix.
 
 use crate::mechanism::fork_concurrent::ForkConcurrentMechanism;
 use crate::mechanism::hardware::{HardwareMechanism, HwFlavor};
@@ -28,10 +38,12 @@ use crate::mechanism::kthread::{KernelThreadMechanism, KthreadIface, KthreadVari
 use crate::mechanism::syscall::{SyscallMechanism, SyscallVariant};
 use crate::mechanism::user_level::{Trigger, UserLevelMechanism};
 use crate::mechanism::Mechanism;
+use crate::report::RestartOutcome;
 use crate::tracker::TrackerKind;
 use crate::{shared_storage, RestorePid, SharedStorage};
 use ckpt_cas::{ChunkParams, DedupStore};
 use ckpt_ec::ErasureStore;
+use ckpt_par::Pool;
 use ckpt_replica::{ReplicaConfig, ReplicaSet, ReplicatedStore, StripedStore};
 use ckpt_storage::{
     load_latest_valid_chain, FaultInjectStore, LocalDisk, NvramStore, RamStore, RemoteServer,
@@ -41,9 +53,10 @@ use simos::apps::{self, AppParams, GuestMemIo, NativeKind, VecMem};
 use simos::cost::{CostModel, PAGE_SIZE};
 use simos::faultpoint::{Fault, FaultHandle, SiteRecord};
 use simos::signal::Sig;
-use simos::types::Pid;
+use simos::types::{Pid, SimResult};
 use simos::Kernel;
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// Job name under which every matrix scenario stores its images.
 const JOB: &str = "crashmx";
@@ -74,13 +87,7 @@ pub const HIBERNATE_BACKENDS: [&str; 2] = ["swap", "ram"];
 
 /// Quorum-replicated backends forming the replication tier: every
 /// per-replica fault site × every fault kind × both (N, w) configurations.
-/// One engine-driven mechanism family carries the tier — the layers above
-/// the `StableStorage` trait are orthogonal to replication and already
-/// swept against every backend by the main tiers.
 pub const REPLICATED_BACKENDS: [&str; 2] = ["replicated(3,2)", "replicated(5,3)"];
-
-/// The mechanism family driven over the replicated backends.
-pub const REPLICATION_MECH: &str = "syscall";
 
 /// Dedup-layered backends forming the dedup tier: the content-addressed
 /// chunk store's own fault sites (per-chunk stores/loads, the
@@ -90,9 +97,6 @@ pub const REPLICATION_MECH: &str = "syscall";
 /// fallback restart — never silent corruption.
 pub const DEDUP_BACKENDS: [&str; 2] = ["dedup(local-disk)", "dedup(replicated(3,2))"];
 
-/// The mechanism family driven over the dedup backends.
-pub const DEDUP_MECH: &str = "syscall";
-
 /// Striped quorum pools forming the shard-commit tier: every store on a
 /// [`ckpt_replica::StripedStore`] routes through the framed multi-object
 /// batch-commit path (as a batch of one), so the recording pass
@@ -101,9 +105,6 @@ pub const DEDUP_MECH: &str = "syscall";
 /// of them with every fault kind. A fault on one stripe must never
 /// corrupt keys living on another.
 pub const STRIPED_BACKENDS: [&str; 1] = ["striped(2x3,2)"];
-
-/// The mechanism family driven over the striped backends.
-pub const STRIPED_MECH: &str = "syscall";
 
 /// Erasure-coded shard groups forming the coding tier: every store on an
 /// [`ckpt_ec::ErasureStore`] travels the framed shard batch-commit path
@@ -115,17 +116,21 @@ pub const STRIPED_MECH: &str = "syscall";
 /// single-node losses the matrix injects.
 pub const ERASURE_BACKENDS: [&str; 2] = ["rs(4,2)", "rs(8,3)"];
 
-/// The mechanism family driven over the erasure-coded backends.
-pub const ERASURE_MECH: &str = "syscall";
+/// The one mechanism family driven over the storage tiers (replicated,
+/// dedup, striped, erasure-coded): the layers above the `StableStorage`
+/// trait are orthogonal to the medium and already swept against every
+/// plain backend by the process-level columns.
+pub const STORAGE_TIER_MECH: &str = "syscall";
 
-/// Total cell count of the full matrix, including the live-migration
-/// tier contributed by `ckpt-cluster::migmatrix` (the driver test sweeps
-/// both). The matrix is deterministic (the site list comes from a
-/// fault-free recording pass per column, no sampling), so the count is a
-/// fixed artifact of the instrumentation: any new site, backend, or
-/// mechanism changes it, and the driver test asserts and prints this
-/// constant so the documented number can never drift from the code again.
-pub const MATRIX_CELLS: usize = 2250;
+/// Total cell count of the full matrix, including the cluster tiers
+/// (live migration, shard protocol) contributed by
+/// `ckpt_cluster::matrix`. The matrix is deterministic (the site list
+/// comes from a fault-free recording pass per column, no sampling), so
+/// the count is a fixed artifact of the instrumentation: any new site,
+/// backend, or mechanism changes it, and the driver test asserts and
+/// prints this constant so the documented number can never drift from
+/// the code again.
+pub const MATRIX_CELLS: usize = 1703;
 
 /// Parse `"replicated(N,w)"` into its quorum parameters.
 fn replicated_params(which: &str) -> Option<(usize, usize)> {
@@ -165,7 +170,7 @@ pub struct MatrixConfig {
     pub backend: &'static str,
 }
 
-/// Every column the full matrix runs.
+/// Every process-level and hibernation config, in matrix order.
 pub fn all_configs() -> Vec<MatrixConfig> {
     let mut v = Vec::new();
     for mechanism in TRAIT_MECHANISMS {
@@ -179,31 +184,30 @@ pub fn all_configs() -> Vec<MatrixConfig> {
             backend,
         });
     }
-    for backend in REPLICATED_BACKENDS {
+    let storage_tiers = REPLICATED_BACKENDS
+        .into_iter()
+        .chain(DEDUP_BACKENDS)
+        .chain(STRIPED_BACKENDS)
+        .chain(ERASURE_BACKENDS);
+    for backend in storage_tiers {
         v.push(MatrixConfig {
-            mechanism: REPLICATION_MECH,
-            backend,
-        });
-    }
-    for backend in DEDUP_BACKENDS {
-        v.push(MatrixConfig {
-            mechanism: DEDUP_MECH,
-            backend,
-        });
-    }
-    for backend in STRIPED_BACKENDS {
-        v.push(MatrixConfig {
-            mechanism: STRIPED_MECH,
-            backend,
-        });
-    }
-    for backend in ERASURE_BACKENDS {
-        v.push(MatrixConfig {
-            mechanism: ERASURE_MECH,
+            mechanism: STORAGE_TIER_MECH,
             backend,
         });
     }
     v
+}
+
+/// One column of the matrix as the [`sweep`] driver sees it: the config
+/// plus its two scenario functions. `record` runs the scenario under a
+/// recording handle (nothing fires); `cell` runs it under an armed handle
+/// and classifies the end state. Both must be pure functions of their
+/// arguments, so a column can run on any pool worker.
+#[derive(Debug, Clone, Copy)]
+pub struct Column {
+    pub config: MatrixConfig,
+    pub record: fn(MatrixConfig, &FaultHandle),
+    pub cell: fn(MatrixConfig, &FaultHandle) -> CellOutcome,
 }
 
 /// How one cell ended.
@@ -215,9 +219,8 @@ pub enum CellOutcome {
     /// Restart (or the interrupted checkpoint) failed with a typed error
     /// and no intact image survived — correct detection.
     Detected { error: String },
-    /// Fault kind inapplicable at this site (logged, not hidden).
-    Skipped { reason: String },
-    /// Silent corruption or a refused restart despite an intact image.
+    /// Silent corruption, a refused restart despite an intact image, or
+    /// an armed fault that never fired.
     Violation { what: String },
 }
 
@@ -246,6 +249,16 @@ impl fmt::Display for MatrixCell {
 #[derive(Debug, Clone, Default)]
 pub struct MatrixReport {
     pub cells: Vec<MatrixCell>,
+    /// Host wall time each column took, in column order. Diagnostic only:
+    /// it varies run to run, so it takes no part in equality and appears
+    /// in no rendered artifact.
+    pub column_wall: Vec<(MatrixConfig, Duration)>,
+}
+
+impl PartialEq for MatrixReport {
+    fn eq(&self, other: &Self) -> bool {
+        self.cells == other.cells
+    }
 }
 
 impl MatrixReport {
@@ -254,9 +267,6 @@ impl MatrixReport {
     }
     pub fn detected(&self) -> usize {
         self.count(|o| matches!(o, CellOutcome::Detected { .. }))
-    }
-    pub fn skipped(&self) -> usize {
-        self.count(|o| matches!(o, CellOutcome::Skipped { .. }))
     }
     pub fn violations(&self) -> Vec<&MatrixCell> {
         self.cells
@@ -268,9 +278,10 @@ impl MatrixReport {
         self.cells.iter().filter(|c| f(&c.outcome)).count()
     }
 
-    /// Per-(mechanism × backend) outcome counts, in matrix order.
-    pub fn by_config(&self) -> Vec<(MatrixConfig, [usize; 4])> {
-        let mut out: Vec<(MatrixConfig, [usize; 4])> = Vec::new();
+    /// Per-(mechanism × backend) [restarted, detected, violations] counts,
+    /// in matrix order.
+    pub fn by_config(&self) -> Vec<(MatrixConfig, [usize; 3])> {
+        let mut out: Vec<(MatrixConfig, [usize; 3])> = Vec::new();
         for c in &self.cells {
             let key = MatrixConfig {
                 mechanism: c.mechanism,
@@ -279,15 +290,14 @@ impl MatrixReport {
             let slot = match out.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, counts)) => counts,
                 None => {
-                    out.push((key, [0; 4]));
+                    out.push((key, [0; 3]));
                     &mut out.last_mut().expect("just pushed").1
                 }
             };
             let idx = match c.outcome {
                 CellOutcome::Restarted { .. } => 0,
                 CellOutcome::Detected { .. } => 1,
-                CellOutcome::Skipped { .. } => 2,
-                CellOutcome::Violation { .. } => 3,
+                CellOutcome::Violation { .. } => 2,
             };
             slot[idx] += 1;
         }
@@ -381,9 +391,8 @@ fn reference_digest(params: &AppParams, target_step: u64) -> Result<u64, String>
 }
 
 /// Verify a restored process against the deterministic replay. Returns the
-/// restored step count on success. Public for the same reason as
-/// [`faults_for`]: external matrix tiers must use the identical
-/// bit-for-bit verification, not a weaker local copy.
+/// restored step count on success. Public so the cluster tiers use the
+/// identical bit-for-bit verification, not a weaker local copy.
 pub fn verify_restored(k: &Kernel, pid: Pid, params: &AppParams) -> Result<u64, String> {
     let p = k
         .process(pid)
@@ -535,24 +544,15 @@ fn run_mech_scenario(mechanism: &str, backend: &str, faults: &FaultHandle) -> Sc
     let _ = k.run_for(RUN1_NS);
     let storage = injected_storage(backend, faults);
     let mut mech = build_mechanism(mechanism, storage.clone());
-    let mut ckpt_error = None;
-    if let Err(e) = mech.prepare(&mut k, pid) {
-        ckpt_error = Some(e.to_string());
-    }
-    if ckpt_error.is_none() {
-        match mech.checkpoint(&mut k, pid) {
-            Ok(_) => {
-                let _ = k.run_for(RUN2_NS);
-                match mech.checkpoint(&mut k, pid) {
-                    Ok(_) => {
-                        let _ = k.run_for(RUN3_NS);
-                    }
-                    Err(e) => ckpt_error = Some(e.to_string()),
-                }
-            }
-            Err(e) => ckpt_error = Some(e.to_string()),
-        }
-    }
+    let mut checkpoints = || -> SimResult<()> {
+        mech.prepare(&mut k, pid)?;
+        mech.checkpoint(&mut k, pid)?;
+        let _ = k.run_for(RUN2_NS);
+        mech.checkpoint(&mut k, pid)?;
+        let _ = k.run_for(RUN3_NS);
+        Ok(())
+    };
+    let ckpt_error = checkpoints().err().map(|e| e.to_string());
     let work_at_end = k.process(pid).map(|p| p.work_done).unwrap_or(0);
     ScenarioEnd {
         pid,
@@ -573,78 +573,61 @@ fn intact_chain_exists(storage: &SharedStorage, pid: Pid) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Site enumeration and cell execution
+// Process-level cells
 // ---------------------------------------------------------------------
 
-/// Fault-free recording pass for one column: returns every site the
-/// scenario (including node failure, repair, and restart) visits.
-fn record_sites(cfg: MatrixConfig) -> Vec<SiteRecord> {
-    let faults = FaultHandle::recording();
-    if cfg.mechanism == "hibernate" {
-        let _ = run_hibernate_scenario(cfg.backend, &faults);
-        return faults.sites();
-    }
-    let end = run_mech_scenario(cfg.mechanism, cfg.backend, &faults);
-    {
-        let mut s = end.storage.lock();
-        s.on_node_failure();
-        s.on_node_repair();
-    }
-    let mut mech = end.mech;
-    let mut k2 = Kernel::new(CostModel::circa_2005());
-    k2.set_faults(faults.clone());
-    let _ = mech.restart(&mut k2, RestorePid::Fresh);
-    faults.sites()
-}
-
-/// The three fault kinds for one recorded site; a torn write only applies
-/// where a byte stream is actually written. Public so satellite tiers
-/// living in other crates (the live-migration tier in
-/// `ckpt-cluster::migmatrix`) sweep the exact same fault kinds.
-pub fn faults_for(site: &SiteRecord) -> Vec<(&'static str, Option<Fault>)> {
-    let torn = if site.bytes >= 2 {
-        Some(Fault::TornWrite {
-            keep_bytes: site.bytes / 2,
-        })
-    } else {
-        None
+/// Restart on a fresh kernel. If the armed crash hit the restart itself
+/// (it had not fired before), recovery from a crash *during* recovery is
+/// simply another restart attempt, on another fresh kernel.
+fn restart_on_fresh_kernel<T>(
+    faults: &FaultHandle,
+    fired_before: bool,
+    mut restart: impl FnMut(&mut Kernel) -> SimResult<T>,
+) -> (Kernel, SimResult<T>) {
+    let fresh = || {
+        let mut k = Kernel::new(CostModel::circa_2005());
+        k.set_faults(faults.clone());
+        k
     };
-    vec![
-        ("fail-stop", Some(Fault::FailStop)),
-        ("transient", Some(Fault::Transient)),
-        ("torn-write", torn),
-    ]
+    let mut k = fresh();
+    let mut result = restart(&mut k);
+    if result.is_err() && !fired_before && faults.fired().is_some() {
+        faults.clear_crash();
+        k = fresh();
+        result = restart(&mut k);
+    }
+    (k, result)
 }
 
-/// Run one armed cell for a process-level mechanism.
-fn run_mech_cell(cfg: MatrixConfig, site: &str, fault: Fault) -> CellOutcome {
-    let faults = FaultHandle::armed(site, fault);
-    let end = run_mech_scenario(cfg.mechanism, cfg.backend, &faults);
+/// The whole process-level lifecycle: run the scenario, then the machine
+/// event — the node fails (losing volatile media) and is repaired (or
+/// replaced) — then restart on a fresh kernel.
+fn mech_lifecycle(
+    cfg: MatrixConfig,
+    faults: &FaultHandle,
+) -> (ScenarioEnd, Kernel, SimResult<RestartOutcome>) {
+    let mut end = run_mech_scenario(cfg.mechanism, cfg.backend, faults);
     let fired_before_restart = faults.fired().is_some();
-    // The machine event: the node fails (losing volatile media) and is
-    // repaired (or replaced) before the restart attempt.
     faults.clear_crash();
     {
         let mut s = end.storage.lock();
         s.on_node_failure();
         s.on_node_repair();
     }
-    let mut mech = end.mech;
-    let mut k2 = Kernel::new(CostModel::circa_2005());
-    k2.set_faults(faults.clone());
-    let mut restart = mech.restart(&mut k2, RestorePid::Fresh);
-    if restart.is_err() && !fired_before_restart && faults.fired().is_some() {
-        // The injected crash hit the restart itself. Recovery from a crash
-        // *during* recovery is simply another restart attempt.
-        faults.clear_crash();
-        let mut k3 = Kernel::new(CostModel::circa_2005());
-        k3.set_faults(faults.clone());
-        restart = mech.restart(&mut k3, RestorePid::Fresh);
-        k2 = k3;
-    }
-    let params = app_params();
+    let (k, restart) = restart_on_fresh_kernel(faults, fired_before_restart, |k| {
+        end.mech.restart(k, RestorePid::Fresh)
+    });
+    (end, k, restart)
+}
+
+fn record_mech(cfg: MatrixConfig, faults: &FaultHandle) {
+    let _ = mech_lifecycle(cfg, faults);
+}
+
+fn mech_cell(cfg: MatrixConfig, faults: &FaultHandle) -> CellOutcome {
+    let (end, k, restart) = mech_lifecycle(cfg, faults);
     match restart {
-        Ok(r) => match verify_restored(&k2, r.pid, &params) {
+        Ok(r) => match verify_restored(&k, r.pid, &app_params()) {
             Ok(step) => {
                 if step != r.work_done {
                     return CellOutcome::Violation {
@@ -737,27 +720,19 @@ fn decodable_hibernate_images(storage: &SharedStorage) -> usize {
         .count()
 }
 
-fn run_hibernate_cell(backend: &str, site: &str, fault: Fault) -> CellOutcome {
-    let faults = FaultHandle::armed(site, fault);
-    let end = run_hibernate_scenario(backend, &faults);
+fn record_hibernate(cfg: MatrixConfig, faults: &FaultHandle) {
+    let _ = run_hibernate_scenario(cfg.backend, faults);
+}
+
+fn hibernate_cell(cfg: MatrixConfig, faults: &FaultHandle) -> CellOutcome {
+    let mut end = run_hibernate_scenario(cfg.backend, faults);
     let fired_before_resume = faults.fired().is_some();
-    let mut k2 = Kernel::new(CostModel::circa_2005());
-    k2.set_faults(faults.clone());
-    let mut susp = end.susp;
-    let mut resume = susp.resume(&mut k2);
-    if resume.is_err() && !fired_before_resume && faults.fired().is_some() {
-        faults.clear_crash();
-        let mut k3 = Kernel::new(CostModel::circa_2005());
-        k3.set_faults(faults.clone());
-        resume = susp.resume(&mut k3);
-        k2 = k3;
-    }
-    let params = app_params();
+    let (k, resume) = restart_on_fresh_kernel(faults, fired_before_resume, |k| end.susp.resume(k));
     match resume {
         Ok(restored) => {
             let mut lost = 0u64;
             for (i, pid) in restored.iter().enumerate() {
-                match verify_restored(&k2, *pid, &params) {
+                match verify_restored(&k, *pid, &app_params()) {
                     Ok(step) => {
                         lost += end.works.get(i).copied().unwrap_or(0).saturating_sub(step);
                     }
@@ -793,51 +768,95 @@ fn run_hibernate_cell(backend: &str, site: &str, fault: Fault) -> CellOutcome {
 }
 
 // ---------------------------------------------------------------------
-// The matrix
+// The driver
 // ---------------------------------------------------------------------
 
-/// Run every cell of one column.
-pub fn run_config(cfg: MatrixConfig) -> Vec<MatrixCell> {
-    let mut cells = Vec::new();
-    for site in record_sites(cfg) {
-        for (label, fault) in faults_for(&site) {
-            let outcome = match fault {
-                None => CellOutcome::Skipped {
-                    reason: format!("{label} requires a byte stream at this site"),
-                },
-                Some(f) => {
-                    if cfg.mechanism == "hibernate" {
-                        run_hibernate_cell(cfg.backend, &site.name, f)
-                    } else {
-                        run_mech_cell(cfg, &site.name, f)
-                    }
-                }
-            };
-            cells.push(MatrixCell {
-                mechanism: cfg.mechanism,
-                backend: cfg.backend,
-                site: site.name.clone(),
-                fault: label,
-                outcome,
-            });
+/// The [`Column`] that sweeps one process-level or hibernation config.
+pub fn column(config: MatrixConfig) -> Column {
+    if config.mechanism == "hibernate" {
+        Column {
+            config,
+            record: record_hibernate,
+            cell: hibernate_cell,
+        }
+    } else {
+        Column {
+            config,
+            record: record_mech,
+            cell: mech_cell,
         }
     }
-    cells
 }
 
-/// Run the full crash matrix: every mechanism family × every backend ×
-/// every recorded site × every fault kind.
-pub fn run_crash_matrix() -> MatrixReport {
-    let mut cells = Vec::new();
-    for cfg in all_configs() {
-        cells.extend(run_config(cfg));
+/// The fault kinds that apply at one recorded site, in sweep order: a
+/// fail-stop and a transient apply everywhere; a torn write only where a
+/// byte stream is actually written.
+fn faults_for(site: &SiteRecord) -> Vec<Fault> {
+    let mut kinds = vec![Fault::FailStop, Fault::Transient];
+    if site.bytes >= 2 {
+        kinds.push(Fault::TornWrite {
+            keep_bytes: site.bytes / 2,
+        });
     }
-    MatrixReport { cells }
+    kinds
+}
+
+/// The one fault-sweep driver. For each column: record its sites
+/// fault-free, arm each site with each fault kind that applies there, and
+/// classify the cell; a cell whose armed fault never fired is a
+/// `Violation`. Columns fan out on `pool` and merge back in column order,
+/// so `cells` are identical at every pool width.
+pub fn sweep(pool: &Pool, columns: Vec<Column>) -> MatrixReport {
+    let runs = pool.par_map_ordered(
+        columns,
+        || (),
+        |_, _, col| {
+            let start = Instant::now();
+            let recording = FaultHandle::recording();
+            (col.record)(col.config, &recording);
+            let mut cells = Vec::new();
+            for site in recording.sites() {
+                for fault in faults_for(&site) {
+                    let armed = FaultHandle::armed(&site.name, fault);
+                    let mut outcome = (col.cell)(col.config, &armed);
+                    if armed.fired().is_none() {
+                        outcome = CellOutcome::Violation {
+                            what: format!("armed fault never fired (cell ended {outcome:?})"),
+                        };
+                    }
+                    cells.push(MatrixCell {
+                        mechanism: col.config.mechanism,
+                        backend: col.config.backend,
+                        site: site.name.clone(),
+                        fault: fault.label(),
+                        outcome,
+                    });
+                }
+            }
+            (cells, (col.config, start.elapsed()))
+        },
+    );
+    let mut report = MatrixReport::default();
+    for (cells, wall) in runs {
+        report.cells.extend(cells);
+        report.column_wall.push(wall);
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn recorded(cfg: MatrixConfig) -> Vec<SiteRecord> {
+        let faults = FaultHandle::recording();
+        (column(cfg).record)(cfg, &faults);
+        faults.sites()
+    }
+
+    fn armed_cell(cfg: MatrixConfig, site: &str, fault: Fault) -> CellOutcome {
+        (column(cfg).cell)(cfg, &FaultHandle::armed(site, fault))
+    }
 
     #[test]
     fn reference_digest_is_step_exact_and_deterministic() {
@@ -850,30 +869,64 @@ mod tests {
     }
 
     #[test]
+    fn sweep_runs_applicable_kinds_and_flags_faults_that_never_fire() {
+        fn visit(_: MatrixConfig, f: &FaultHandle) {
+            f.check("probe/store", 8);
+        }
+        fn visits(cfg: MatrixConfig, f: &FaultHandle) -> CellOutcome {
+            visit(cfg, f);
+            CellOutcome::Restarted { lost_steps: 0 }
+        }
+        fn skips(_: MatrixConfig, _: &FaultHandle) -> CellOutcome {
+            CellOutcome::Restarted { lost_steps: 0 }
+        }
+        let config = MatrixConfig {
+            mechanism: "probe",
+            backend: "none",
+        };
+        let [a, b] = [visits, skips].map(|cell| Column {
+            config,
+            record: visit,
+            cell,
+        });
+        let report = sweep(&Pool::new(2), vec![a, b]);
+        let faults: Vec<&str> = report.cells.iter().map(|c| c.fault).collect();
+        // A byte-carrying site gets all three kinds, in column order.
+        assert_eq!(faults, ["fail-stop", "transient", "torn-write"].repeat(2));
+        assert_eq!(report.restarted(), 3);
+        assert_eq!(
+            report.violations().len(),
+            3,
+            "an unfired fault proves nothing"
+        );
+        assert_eq!(report.column_wall.len(), 2);
+        let no_bytes = SiteRecord {
+            name: "probe/freeze@1".into(),
+            bytes: 0,
+        };
+        assert_eq!(faults_for(&no_bytes), [Fault::FailStop, Fault::Transient]);
+    }
+
+    #[test]
     fn clean_scenario_restarts_bit_exact() {
-        // No fault armed at all: the scenario must classify as Restarted
-        // with zero violations for every backend.
-        for backend in BACKENDS {
-            let faults = FaultHandle::disabled();
-            let end = run_mech_scenario("syscall", backend, &faults);
-            assert!(end.ckpt_error.is_none(), "{backend}: {:?}", end.ckpt_error);
-            {
-                let mut s = end.storage.lock();
-                s.on_node_failure();
-                s.on_node_repair();
+        // No fault armed at all: every non-hibernate column — each plain
+        // backend and every storage tier — must restart bit-exact.
+        for cfg in all_configs() {
+            if cfg.mechanism == "hibernate" {
+                continue;
             }
-            let mut mech = end.mech;
-            let mut k2 = Kernel::new(CostModel::circa_2005());
-            let r = mech.restart(&mut k2, RestorePid::Fresh).unwrap();
-            let step = verify_restored(&k2, r.pid, &app_params()).unwrap();
-            assert_eq!(step, r.work_done);
-            assert!(end.work_at_end >= step);
+            let (end, k, restart) = mech_lifecycle(cfg, &FaultHandle::disabled());
+            assert!(end.ckpt_error.is_none(), "{cfg:?}: {:?}", end.ckpt_error);
+            let r = restart.unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
+            let step = verify_restored(&k, r.pid, &app_params()).unwrap();
+            assert_eq!(step, r.work_done, "{cfg:?}");
+            assert!(end.work_at_end >= step, "{cfg:?}");
         }
     }
 
     #[test]
     fn recording_enumerates_checkpoint_and_restart_sites() {
-        let sites = record_sites(MatrixConfig {
+        let sites = recorded(MatrixConfig {
             mechanism: "syscall",
             backend: "local-disk",
         });
@@ -899,7 +952,7 @@ mod tests {
             mechanism: "syscall",
             backend: "local-disk",
         };
-        let sites = record_sites(cfg);
+        let sites = recorded(cfg);
         let store2 = sites
             .iter()
             .find(|s| s.name.contains("storage/local-disk/store@2"))
@@ -907,7 +960,7 @@ mod tests {
         let torn = Fault::TornWrite {
             keep_bytes: store2.bytes / 2,
         };
-        let out = run_mech_cell(cfg, &store2.name, torn);
+        let out = armed_cell(cfg, &store2.name, torn);
         match out {
             CellOutcome::Restarted { lost_steps } => {
                 assert!(lost_steps > 0, "rolled back past the torn checkpoint")
@@ -917,30 +970,9 @@ mod tests {
     }
 
     #[test]
-    fn dedup_clean_scenario_restarts_bit_exact() {
-        // The dedup tier with no fault armed must restart bit-exact for
-        // both backings (plain disk and the replicated quorum).
-        for backend in DEDUP_BACKENDS {
-            let faults = FaultHandle::disabled();
-            let end = run_mech_scenario(DEDUP_MECH, backend, &faults);
-            assert!(end.ckpt_error.is_none(), "{backend}: {:?}", end.ckpt_error);
-            {
-                let mut s = end.storage.lock();
-                s.on_node_failure();
-                s.on_node_repair();
-            }
-            let mut mech = end.mech;
-            let mut k2 = Kernel::new(CostModel::circa_2005());
-            let r = mech.restart(&mut k2, RestorePid::Fresh).unwrap();
-            let step = verify_restored(&k2, r.pid, &app_params()).unwrap();
-            assert_eq!(step, r.work_done);
-        }
-    }
-
-    #[test]
     fn dedup_recording_enumerates_cas_commit_sites() {
-        let sites = record_sites(MatrixConfig {
-            mechanism: DEDUP_MECH,
+        let sites = recorded(MatrixConfig {
+            mechanism: STORAGE_TIER_MECH,
             backend: "dedup(local-disk)",
         });
         let names: Vec<&str> = sites.iter().map(|s| s.name.as_str()).collect();
@@ -960,10 +992,10 @@ mod tests {
         // A torn manifest write must surface as typed detection or a
         // bit-exact restart from an older chain — never a Violation.
         let cfg = MatrixConfig {
-            mechanism: DEDUP_MECH,
+            mechanism: STORAGE_TIER_MECH,
             backend: "dedup(local-disk)",
         };
-        let sites = record_sites(cfg);
+        let sites = recorded(cfg);
         let commits: Vec<_> = sites
             .iter()
             .filter(|s| s.name.contains("cas/commit"))
@@ -974,7 +1006,7 @@ mod tests {
             let torn = Fault::TornWrite {
                 keep_bytes: (site.bytes / 2).max(1),
             };
-            let out = run_mech_cell(cfg, &site.name, torn);
+            let out = armed_cell(cfg, &site.name, torn);
             match out {
                 CellOutcome::Restarted { .. } => saw_restart = true,
                 CellOutcome::Detected { .. } => {}
@@ -988,28 +1020,9 @@ mod tests {
     }
 
     #[test]
-    fn striped_clean_scenario_restarts_bit_exact() {
-        for backend in STRIPED_BACKENDS {
-            let faults = FaultHandle::disabled();
-            let end = run_mech_scenario(STRIPED_MECH, backend, &faults);
-            assert!(end.ckpt_error.is_none(), "{backend}: {:?}", end.ckpt_error);
-            {
-                let mut s = end.storage.lock();
-                s.on_node_failure();
-                s.on_node_repair();
-            }
-            let mut mech = end.mech;
-            let mut k2 = Kernel::new(CostModel::circa_2005());
-            let r = mech.restart(&mut k2, RestorePid::Fresh).unwrap();
-            let step = verify_restored(&k2, r.pid, &app_params()).unwrap();
-            assert_eq!(step, r.work_done);
-        }
-    }
-
-    #[test]
     fn striped_recording_enumerates_per_stripe_batch_sites() {
-        let sites = record_sites(MatrixConfig {
-            mechanism: STRIPED_MECH,
+        let sites = recorded(MatrixConfig {
+            mechanism: STORAGE_TIER_MECH,
             backend: "striped(2x3,2)",
         });
         let names: Vec<&str> = sites.iter().map(|s| s.name.as_str()).collect();
@@ -1027,28 +1040,9 @@ mod tests {
     }
 
     #[test]
-    fn erasure_clean_scenario_restarts_bit_exact() {
-        for backend in ERASURE_BACKENDS {
-            let faults = FaultHandle::disabled();
-            let end = run_mech_scenario(ERASURE_MECH, backend, &faults);
-            assert!(end.ckpt_error.is_none(), "{backend}: {:?}", end.ckpt_error);
-            {
-                let mut s = end.storage.lock();
-                s.on_node_failure();
-                s.on_node_repair();
-            }
-            let mut mech = end.mech;
-            let mut k2 = Kernel::new(CostModel::circa_2005());
-            let r = mech.restart(&mut k2, RestorePid::Fresh).unwrap();
-            let step = verify_restored(&k2, r.pid, &app_params()).unwrap();
-            assert_eq!(step, r.work_done);
-        }
-    }
-
-    #[test]
     fn erasure_recording_enumerates_per_shard_batch_sites() {
-        let sites = record_sites(MatrixConfig {
-            mechanism: ERASURE_MECH,
+        let sites = recorded(MatrixConfig {
+            mechanism: STORAGE_TIER_MECH,
             backend: "rs(4,2)",
         });
         let names: Vec<&str> = sites.iter().map(|s| s.name.as_str()).collect();
@@ -1074,15 +1068,15 @@ mod tests {
         // and the restart must reconstruct bit-exact around the lost
         // shard — the cell the whole coding tier exists for.
         let cfg = MatrixConfig {
-            mechanism: ERASURE_MECH,
+            mechanism: STORAGE_TIER_MECH,
             backend: "rs(4,2)",
         };
-        let sites = record_sites(cfg);
+        let sites = recorded(cfg);
         let batch2 = sites
             .iter()
             .find(|s| s.name.starts_with("ec/s0/batch@2"))
             .expect("second-checkpoint shard batch site recorded");
-        let out = run_mech_cell(cfg, &batch2.name, Fault::FailStop);
+        let out = armed_cell(cfg, &batch2.name, Fault::FailStop);
         assert!(
             matches!(out, CellOutcome::Restarted { .. }),
             "expected a reconstructing restart, got {out:?}"
@@ -1095,7 +1089,7 @@ mod tests {
             mechanism: "syscall",
             backend: "local-disk",
         };
-        let out = run_mech_cell(cfg, "mech/epckpt/capture@1", Fault::FailStop);
+        let out = armed_cell(cfg, "mech/epckpt/capture@1", Fault::FailStop);
         assert!(
             matches!(out, CellOutcome::Detected { .. }),
             "no image was ever written, restart must be refused: {out:?}"

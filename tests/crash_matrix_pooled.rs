@@ -1,16 +1,17 @@
-//! A crash-matrix slice with the parallel encode pool forced wide: the
-//! fault sites enumerated by the recording pass must fire at exactly the
-//! same points under a multi-worker pool, every cell must classify the
-//! same way across repeated runs, and a crash landing mid-parallel-encode
-//! (the capture/compress/store faultpoints) must never leave a partially
-//! committed image behind — which would surface as a `Violation` via the
-//! matrix's intact-chain cross-check.
+//! A crash-matrix slice swept at two pool widths with the parallel encode
+//! pool forced wide: the fault sites enumerated by the recording pass
+//! must fire at exactly the same points whether the columns run inline
+//! or fanned out, every cell must classify the same way, and a crash
+//! landing mid-parallel-encode (the capture/compress/store faultpoints)
+//! must never leave a partially committed image behind — which would
+//! surface as a `Violation` via the matrix's intact-chain cross-check.
 //!
 //! This lives in its own test binary so it can pin the process-wide pool
 //! width before anything initializes it: the engines inside the matrix
 //! mechanisms default to [`ckpt_par::global`].
 
-use ckpt_restart::ckpt::crashpoint::{run_config, CellOutcome, MatrixConfig};
+use ckpt_restart::ckpt::crashpoint::{column, sweep, CellOutcome, MatrixConfig};
+use ckpt_restart::par::Pool;
 
 #[test]
 fn pooled_matrix_slice_is_deterministic_with_no_partial_commits() {
@@ -24,46 +25,37 @@ fn pooled_matrix_slice_is_deterministic_with_no_partial_commits() {
 
     // One engine-driven mechanism per storage backend keeps the slice
     // under a few seconds while still crossing every fault kind.
-    let slice = [
-        MatrixConfig {
-            mechanism: "syscall",
-            backend: "local-disk",
-        },
-        MatrixConfig {
-            mechanism: "kernel-thread",
-            backend: "remote",
-        },
-        MatrixConfig {
-            mechanism: "fork-concurrent",
-            backend: "nvram",
-        },
-    ];
+    let slice = || {
+        [
+            ("syscall", "local-disk"),
+            ("kernel-thread", "remote"),
+            ("fork-concurrent", "nvram"),
+        ]
+        .map(|(mechanism, backend)| column(MatrixConfig { mechanism, backend }))
+        .to_vec()
+    };
 
-    let mut all = Vec::new();
-    for cfg in slice {
-        let first = run_config(cfg);
+    // Count-based fault triggers + a work-stealing pool: the arming must
+    // still be deterministic, so the inline sweep and the 4-wide sweep
+    // classify every cell identically.
+    let serial = sweep(&Pool::new(1), slice());
+    let pooled = sweep(ckpt_restart::par::global(), slice());
+    assert!(
+        serial == pooled,
+        "cell outcomes changed with the sweep's pool width"
+    );
+    let swept: Vec<MatrixConfig> = pooled.by_config().into_iter().map(|(cfg, _)| cfg).collect();
+    let expected: Vec<MatrixConfig> = slice().iter().map(|col| col.config).collect();
+    assert_eq!(
+        swept, expected,
+        "a column's recording pass enumerated no fault sites"
+    );
+    let all = &pooled.cells;
+    for cell in all {
         assert!(
-            !first.is_empty(),
-            "{}/{}: recording pass enumerated no fault sites",
-            cfg.mechanism,
-            cfg.backend
+            !matches!(cell.outcome, CellOutcome::Violation { .. }),
+            "pooled violation: {cell}"
         );
-        // Count-based fault triggers + a work-stealing pool: the arming
-        // must still be deterministic, so a second sweep classifies every
-        // cell identically.
-        let second = run_config(cfg);
-        assert_eq!(
-            first, second,
-            "{}/{}: cell outcomes changed between runs under the pool",
-            cfg.mechanism, cfg.backend
-        );
-        for cell in &first {
-            assert!(
-                !matches!(cell.outcome, CellOutcome::Violation { .. }),
-                "pooled violation: {cell}"
-            );
-        }
-        all.extend(first);
     }
 
     // The parallel-encode window is actually swept: faults landed on the
@@ -75,6 +67,10 @@ fn pooled_matrix_slice_is_deterministic_with_no_partial_commits() {
             "phase {phase} never appeared as an armed site in the slice"
         );
     }
-    assert!(all.iter().any(|c| matches!(c.outcome, CellOutcome::Restarted { .. })));
-    assert!(all.iter().any(|c| matches!(c.outcome, CellOutcome::Detected { .. })));
+    assert!(all
+        .iter()
+        .any(|c| matches!(c.outcome, CellOutcome::Restarted { .. })));
+    assert!(all
+        .iter()
+        .any(|c| matches!(c.outcome, CellOutcome::Detected { .. })));
 }

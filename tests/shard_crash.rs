@@ -2,140 +2,51 @@
 //! faultpoints: the per-shard commit instants (`shard/s<i>/commit`, after
 //! a shard's ranks are captured but around its batched quorum commit) and
 //! the root's global-cut seal (`shard/root/commit`, after every shard has
-//! acked). The kernel-level crash matrix cannot reach these — they only
-//! exist on a running cluster — so this sweep plays the same game at the
-//! cluster tier: enumerate the sites with a recording pass, arm each with
-//! each applicable fault kind, crash a node, recover, and require the
-//! recovered job to be *state-identical* to a failure-free run. Zero
-//! silent-corruption outcomes, every abort clean and retryable.
+//! acked). These sites only exist on a running cluster, so they are the
+//! crash matrix's `shard-protocol` column in `ckpt_cluster::matrix`. This
+//! binary sweeps that one column on its own, through the same `sweep`
+//! driver as the full matrix, so a shard-protocol regression fails under
+//! its own name in seconds instead of inside the full matrix run.
 
-use ckpt_restart::cluster::{Cluster, FailureConfig, MpiJob, NodeId, ShardedCoordinator};
-use ckpt_restart::ckpt::TrackerKind;
-use simos::apps::{AppParams, NativeKind};
-use simos::cost::CostModel;
-use simos::faultpoint::{Fault, FaultHandle};
+use ckpt_restart::ckpt::crashpoint::{sweep, CellOutcome};
+use ckpt_restart::cluster::matrix::{all_columns, SHARD_BACKEND, SHARD_MECH};
 
-const SUPERSTEPS: u64 = 6;
-
-fn setup() -> (Cluster, MpiJob, ShardedCoordinator) {
-    let mut c = Cluster::new_striped(
-        3,
-        CostModel::circa_2005(),
-        FailureConfig::none(),
-        4,
-        3,
-        2,
-    );
-    let job = MpiJob::launch(
-        &mut c,
-        "app",
-        6,
-        NativeKind::SparseRandom,
-        AppParams::small(),
-        6,
-        32 * 1024,
-    )
-    .expect("launch");
-    let coord = ShardedCoordinator::new("shardcrash", TrackerKind::KernelPage, 2);
-    (c, job, coord)
-}
-
-/// The scenario every cell runs fault-free to produce its reference:
-/// six supersteps of guest state, nothing else observable.
-fn reference_states() -> Vec<(u64, u64)> {
-    let (mut c, mut job, _) = setup();
-    for _ in 0..SUPERSTEPS {
-        job.superstep(&mut c).unwrap();
-    }
-    job.rank_states(&mut c).unwrap()
-}
+const FAULTS: [&str; 3] = ["fail-stop", "transient", "torn-write"];
 
 #[test]
 fn every_shard_protocol_faultpoint_recovers_state_identical() {
-    // Recording pass: run the scenario's two checkpoint rounds fault-free
-    // and enumerate every protocol site the sharded coordinator visits.
-    let sites: Vec<String> = {
-        let (mut c, mut job, coord) = setup();
-        let handle = FaultHandle::recording();
-        let mut coord = coord.with_faults(handle.clone());
-        for _ in 0..2 {
-            job.superstep(&mut c).unwrap();
-        }
-        coord.checkpoint(&mut c, &job).unwrap();
-        job.superstep(&mut c).unwrap();
-        coord.checkpoint(&mut c, &job).unwrap();
-        handle
-            .sites()
-            .into_iter()
-            .filter(|s| s.name.starts_with("shard/"))
-            .map(|s| s.name)
-            .collect()
-    };
+    let columns: Vec<_> = all_columns()
+        .into_iter()
+        .filter(|col| col.config.mechanism == SHARD_MECH)
+        .collect();
+    assert_eq!(columns.len(), 1, "exactly one shard-protocol column");
+    assert_eq!(columns[0].config.backend, SHARD_BACKEND);
+    let report = sweep(ckpt_restart::par::global(), columns);
+
     // Both shard leaders' commit instants and the root's seal, for both
-    // the full and the incremental round.
+    // the full and the incremental round, armed with every fault kind.
     for frag in ["shard/s0/commit", "shard/s1/commit", "shard/root/commit"] {
+        for site in [format!("{frag}@1"), format!("{frag}@2")] {
+            for fault in FAULTS {
+                assert!(
+                    report
+                        .cells
+                        .iter()
+                        .any(|c| c.site == site && c.fault == fault),
+                    "{site} [{fault}] never armed: {:?}",
+                    report.cells.iter().map(|c| &c.site).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+
+    // Every cell fired its fault (an armed fault that never fires is a
+    // Violation), every aborted round retried clean, and every recovery
+    // after the node loss ran on state-identical to the failure-free run.
+    for cell in &report.cells {
         assert!(
-            sites.iter().filter(|s| s.contains(frag)).count() >= 2,
-            "{frag} must be recorded once per round: {sites:?}"
+            matches!(cell.outcome, CellOutcome::Restarted { .. }),
+            "shard-protocol cell did not recover state-identical: {cell}"
         );
     }
-
-    let reference = reference_states();
-    let mut aborted_rounds = 0u32;
-    let mut clean_rounds = 0u32;
-
-    for site in &sites {
-        for fault in [Fault::FailStop, Fault::Transient] {
-            let (mut c, mut job, coord) = setup();
-            let handle = FaultHandle::armed(site, fault);
-            let mut coord = coord.with_faults(handle.clone());
-            for _ in 0..2 {
-                job.superstep(&mut c).unwrap();
-            }
-            // Two checkpoint rounds; a fail-stop at an armed protocol
-            // site aborts that round (seq burned, staged keys retracted,
-            // ranks thawed) and a retry after the crash clears must
-            // commit. A transient is absorbed by the protocol's retry.
-            for _ in 0..2 {
-                if coord.checkpoint(&mut c, &job).is_err() {
-                    aborted_rounds += 1;
-                    handle.clear_crash();
-                    coord
-                        .checkpoint(&mut c, &job)
-                        .unwrap_or_else(|e| panic!("{site}: retry after abort failed: {e}"));
-                } else {
-                    clean_rounds += 1;
-                }
-                if job.completed_supersteps() < 3 {
-                    job.superstep(&mut c).unwrap();
-                }
-            }
-            assert!(coord.has_checkpoint(), "{site}: no cut ever committed");
-
-            // The machine event: a node dies mid-superstep, the job is
-            // rolled back to the last committed cut and replayed.
-            c.inject_failure(NodeId(1));
-            let _ = job.superstep(&mut c);
-            handle.clear_crash();
-            coord
-                .restart(&mut c, &mut job)
-                .unwrap_or_else(|e| panic!("{site} [{fault:?}]: restart failed: {e}"));
-            assert!(
-                job.completed_supersteps() >= 2,
-                "{site}: recovery fell behind the first committed cut"
-            );
-            while job.completed_supersteps() < SUPERSTEPS {
-                job.superstep(&mut c).unwrap();
-            }
-            assert_eq!(
-                job.rank_states(&mut c).unwrap(),
-                reference,
-                "{site} [{fault:?}]: recovered job diverged from the failure-free run"
-            );
-        }
-    }
-    // The sweep exercised both outcomes: fail-stops actually aborted
-    // rounds, transients were actually absorbed.
-    assert!(aborted_rounds > 0, "no protocol fault ever aborted a round");
-    assert!(clean_rounds > 0, "no round ever survived an armed sweep");
 }
