@@ -41,16 +41,10 @@ echo '== dedup gate: chunk-store properties + pinned report + ratio floor =='
 # refcounted GC must never free a live-referenced chunk; the `report
 # dedup` output is FNV-pinned by the golden test; and the co-scheduled
 # identical-guest sweep must keep deduplicating across processes — the
-# floor catches a chunker or digest regression that silently degrades
-# sharing without corrupting bytes.
+# golden test's > 2x floor catches a chunker or digest regression that
+# silently degrades sharing without corrupting bytes.
 cargo test -q -p ckpt-restart --test dedup_properties
 cargo test -q -p ckpt-bench --test golden_c13
-DEDUP_RATIO=$(./target/release/report c13 | awk -F': ' '/cross-process dedup ratio at n=8/ {print $2}' | tr -d 'x')
-echo "cross-process dedup ratio at n=8: ${DEDUP_RATIO}x (floor 2x)"
-awk -v r="$DEDUP_RATIO" 'BEGIN { exit !(r > 2.0) }' || {
-    echo "FAIL: cross-process dedup ratio ${DEDUP_RATIO}x <= 2x — chunking no longer shares identical guests"
-    exit 1
-}
 
 echo '== shard gate: striped-pool properties + protocol crash sweep + pinned report =='
 # The sharded control plane gets its own named gate: adversarial
@@ -72,16 +66,11 @@ echo '== migration gate: live-migration properties + crash tier + pinned report 
 # bit-identical across the app zoo at every pool width; the migration
 # crash tier (every livemig faultpoint x fault kind) must end in
 # zero-loss completion, typed fallback, or typed abort — never silent
-# corruption; and the `report c15` downtime table is FNV-pinned, with a
-# hard ceiling on the slowest guest's post-copy downtime.
+# corruption; and the `report c15` downtime table is FNV-pinned by the
+# golden test, which also holds the slowest guest's post-copy downtime
+# under a hard 100 us ceiling.
 cargo test -q -p ckpt-restart --test livemig_properties
 cargo test -q -p ckpt-bench --test golden_c15
-POST_DT=$(./target/release/report c15 | awk -F': ' '/worst-case post-copy downtime/ {print $2}' | awk '{print $1}')
-echo "worst-case post-copy downtime: ${POST_DT} us (ceiling 100 us)"
-awk -v d="$POST_DT" 'BEGIN { exit !(d < 100.0) }' || {
-    echo "FAIL: slowest-guest post-copy downtime ${POST_DT} us >= 100 us — minimal-image window regressed"
-    exit 1
-}
 
 echo '== erasure gate: shard-damage properties + pinned report + commit-byte floor =='
 # The erasure-coded tier gets its own named gate: adversarial per-object
@@ -90,16 +79,11 @@ echo '== erasure gate: shard-damage properties + pinned report + commit-byte flo
 # repaired digest-valid — and refuse typed-TooManyShardsLost beyond it,
 # never cross-stripe bleed; the `report c16` output is FNV-pinned and
 # pool-width-invariant by the golden test; and the coded commit path
-# must keep the bandwidth win it exists for — RS(4,2) at or under 0.55x
-# the replica-ingested bytes of replication(3,2) on identical lineages.
+# must keep the bandwidth win it exists for — the golden test holds
+# RS(4,2) at or under 0.55x the replica-ingested bytes of
+# replication(3,2) on identical lineages.
 cargo test -q -p ckpt-restart --test erasure_properties
 cargo test -q -p ckpt-bench --test golden_c16
-EC_RATIO=$(./target/release/report c16 | awk -F': ' '/gate: rs\(4,2\) commit bytes vs replicated\(3,2\)/ {print $3}' | tr -d 'x')
-echo "rs(4,2) commit bytes vs replicated(3,2): ${EC_RATIO}x (floor 0.55x)"
-awk -v r="$EC_RATIO" 'BEGIN { exit !(r <= 0.55) }' || {
-    echo "FAIL: rs(4,2) commit bytes ${EC_RATIO}x > 0.55x of replication(3,2) — coding no longer pays for itself"
-    exit 1
-}
 
 echo '== cargo clippy -- -D warnings =='
 cargo clippy --workspace --all-targets -- -D warnings

@@ -3,36 +3,12 @@
 //!
 //! ```text
 //! cargo run --release --bin report -- all            # everything
-//! cargo run --release --bin report -- all --timings  # + wall-clock to stderr
 //! cargo run --release --bin report -- table1         # one experiment
 //! cargo run --release --bin report -- timings        # wall-clock only
 //! cargo run --release --bin report -- list           # what exists
 //! ```
 
 use ckpt_bench as bench;
-
-/// `report all --timings`: identical stdout to plain `all` (the output is
-/// golden-hashed), with per-experiment wall-clock on stderr and
-/// `BENCH_report.json` written alongside.
-fn run_all_timed() -> String {
-    let mut timings = Vec::new();
-    let mut parts = Vec::new();
-    for (name, f) in bench::EXPERIMENTS {
-        let start = std::time::Instant::now();
-        let out = f();
-        timings.push(bench::timing::ExperimentTiming {
-            name,
-            wall_s: start.elapsed().as_secs_f64(),
-            output_bytes: out.len(),
-        });
-        parts.push(out);
-    }
-    if let Err(e) = std::fs::write("BENCH_report.json", bench::timing::timings_json(&timings)) {
-        eprintln!("warning: could not write BENCH_report.json: {e}");
-    }
-    eprint!("{}", bench::timing::timings_table(&timings));
-    parts.join("\n")
-}
 
 /// `report sweep [--out DIR]`: run every swept experiment, write the
 /// canonical `SWEEP_cXX.json` artifacts plus the `RUNBOOK.json`
@@ -82,7 +58,6 @@ fn run_sweep_cmd(out_dir: &std::path::Path) -> std::io::Result<String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(|s| s.as_str()).unwrap_or("all");
-    let timed = args.iter().any(|a| a == "--timings");
     let out = match which {
         "list" => {
             println!("experiments: table1 figure1 c1 c2 c3 c3b c4 c5 c6 c7a c7b c8 c9 c10 c11 c12 c13 c14 c15 c16 trace timings sweep all");
@@ -133,7 +108,6 @@ fn main() {
                 }
             }
         }
-        "all" if timed => run_all_timed(),
         "all" => bench::run_all(),
         other => {
             eprintln!("unknown experiment '{other}' — try: report list");

@@ -955,7 +955,7 @@ pub fn trace_breakdown() -> String {
 /// standalone `report trace` passes `true`.
 fn trace_breakdown_impl(show_soft_tlb: bool) -> String {
     use ckpt_core::mechanism::hibernate::{SoftwareSuspend, SuspendMode};
-    use ckpt_cluster::Coordinator;
+    use ckpt_cluster::ShardedCoordinator;
     use simos::trace::{Phase, TraceHandle};
 
     let trace = TraceHandle::recording();
@@ -1018,7 +1018,7 @@ fn trace_breakdown_impl(show_soft_tlb: bool) -> String {
             32 * 1024,
         )
         .unwrap();
-        let mut coord = Coordinator::new("trace-demo", TrackerKind::KernelPage);
+        let mut coord = ShardedCoordinator::per_rank("trace-demo", TrackerKind::KernelPage);
         coord.checkpoint(&mut c, &job).unwrap();
         let mut params = AppParams::small();
         params.total_steps = u64::MAX;

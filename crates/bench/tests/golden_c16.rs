@@ -59,9 +59,8 @@ fn report_c16_is_pool_width_invariant() {
 fn c16_coded_commit_bytes_stay_under_the_acceptance_floor() {
     // Acceptance: RS(4,2) commits at most 0.55x the replica-ingested
     // bytes of replication(3,2) on the same lineages — the bandwidth win
-    // the engine exists for, measured, not assumed. CI greps the same
-    // gate line; this test keeps the floor enforced even where the
-    // report gate is skipped.
+    // the engine exists for, measured, not assumed. This test is the
+    // one place the floor is enforced; ci.sh runs it in its erasure gate.
     let out = ckpt_bench::c16_erasure();
     let ratio = |needle: &str| -> f64 {
         out.lines()

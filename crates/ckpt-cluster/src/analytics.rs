@@ -14,8 +14,8 @@
 //!   extrapolation in the experiments is produced.
 
 use crate::cluster::{Cluster, FailureConfig};
-use crate::coordinator::Coordinator;
 use crate::mpi::{JobInterrupt, MpiJob};
+use crate::shard::ShardedCoordinator;
 use ckpt_core::tracker::TrackerKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -82,7 +82,7 @@ pub fn simulate_job(cfg: &JobRunConfig) -> SimResult<JobRunReport> {
         cfg.steps_per_superstep,
         32 * 1024,
     )?;
-    let mut coord = Coordinator::new("ftrun", cfg.tracker);
+    let mut coord = ShardedCoordinator::per_rank("ftrun", cfg.tracker);
     let mut recoveries = 0u64;
     let mut reexec = 0u64;
     let mut max_superstep_seen = 0u64;

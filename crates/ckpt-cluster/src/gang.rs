@@ -8,15 +8,15 @@
 //! incoming gang thaws and runs.
 
 use crate::cluster::Cluster;
-use crate::coordinator::Coordinator;
 use crate::mpi::MpiJob;
+use crate::shard::ShardedCoordinator;
 use ckpt_core::tracker::TrackerKind;
 use simos::types::{SimError, SimResult};
 
 /// A gang: one parallel job plus its coordinated-checkpoint driver.
 pub struct Gang {
     pub job: MpiJob,
-    pub coord: Coordinator,
+    pub coord: ShardedCoordinator,
     pub supersteps_run: u64,
 }
 
@@ -25,7 +25,7 @@ impl Gang {
         let key = format!("gang-{}", job.name);
         Gang {
             job,
-            coord: Coordinator::new(&key, tracker),
+            coord: ShardedCoordinator::per_rank(&key, tracker),
             supersteps_run: 0,
         }
     }

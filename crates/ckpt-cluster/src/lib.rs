@@ -9,11 +9,11 @@
 //!   server, lock-step time, and exponential fail-stop failure injection;
 //! * [`mpi`] — a deterministic bulk-synchronous message-passing job layer
 //!   (the MPI stand-in; see DESIGN.md on the substitution);
-//! * [`coordinator`] — LAM/MPI-style coordinated checkpointing at
-//!   quiescent superstep boundaries, with migration-aware restart;
-//! * [`shard`] — the two-level sharded control plane: shard-local rounds
-//!   with batched quorum commits, a root two-phase global cut, and the
-//!   1k–10k node scale model;
+//! * [`shard`] — LAM/MPI-style coordinated checkpointing at quiescent
+//!   superstep boundaries, with migration-aware restart, as one two-level
+//!   protocol: shard-local rounds with batched quorum commits under a
+//!   root two-phase global cut (one shard per rank is the flat round),
+//!   plus the 1k–10k node scale model;
 //! * [`migrate`] — process migration with or without pod virtualization;
 //! * [`livemig`] — iterative pre-copy / post-copy live migration with a
 //!   dirty-rate-adaptive cutover;
@@ -27,7 +27,6 @@
 pub mod analytics;
 pub mod batch;
 pub mod cluster;
-pub mod coordinator;
 pub mod gang;
 pub mod livemig;
 pub mod matrix;
@@ -39,7 +38,6 @@ pub mod shard;
 pub use analytics::{interval_sweep, simulate_job, stochastic_run, JobRunConfig, JobRunReport};
 pub use batch::{BatchManager, BatchRoundReport, ManagedJob};
 pub use cluster::{Cluster, FailureConfig, FailureEvent};
-pub use coordinator::{CoordOutcome, Coordinator};
 pub use gang::{Gang, GangScheduler};
 pub use livemig::{
     migrate_postcopy, migrate_precopy, rebalance_rank_live, LiveMigConfig, PostCopyReport,

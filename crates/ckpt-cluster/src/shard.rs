@@ -1,18 +1,31 @@
-//! The sharded control plane: hierarchical coordinated rounds with
-//! batched quorum commits.
+//! Coordinated checkpointing and restart of parallel jobs — the LAM/MPI /
+//! CoCheck scheme of the survey — as a two-level sharded control plane
+//! with batched quorum commits.
 //!
-//! One flat [`Coordinator`](crate::coordinator::Coordinator) barriers
-//! every rank and commits every image through one replica set — fine at
-//! survey scale, a bottleneck at the paper's capability scale (BlueGene/L:
-//! 65,536 nodes). Skjellum et al. (PAPERS.md) argue the checkpoint
-//! *service* itself must scale and survive faults. This module is that
-//! service:
+//! The protocol exploits the bulk-synchronous structure of [`crate::mpi`]:
+//! at a superstep boundary no messages are in flight, so a globally
+//! consistent cut is simply "freeze every rank, checkpoint every rank,
+//! thaw". Images go to **remote** stable storage (each node pays its own
+//! network cost), which is what makes recovery from a node loss possible
+//! at all — the paper's criticism of local-only systems. As the paper
+//! notes of LAM/MPI, the scheme is transparent to the *application* but
+//! not to the *message-passing layer*: it is the job driver (this module)
+//! that knows where the boundaries are.
+//!
+//! One replica set taking every rank's image is fine at survey scale and
+//! a bottleneck at the paper's capability scale (BlueGene/L: 65,536
+//! nodes). Skjellum et al. (PAPERS.md) argue the checkpoint *service*
+//! itself must scale and survive faults. [`ShardedCoordinator`] is that
+//! service, and the only coordinated-round driver:
 //!
 //! * **Two levels.** Ranks are partitioned across shard coordinators.
 //!   Each shard runs a local coordinated round — freeze, capture, encode
 //!   — and commits its round's images as ONE framed batched quorum commit
 //!   ([`StableStorage::store_batch`]): one admission/backoff/ack cycle
-//!   per replica per shard round instead of per image.
+//!   per replica per shard round instead of per image. With one shard
+//!   per rank ([`ShardedCoordinator::per_rank`]) this is the classic flat
+//!   protocol: each rank is captured, committed, charged, re-armed and
+//!   thawed in rank order.
 //! * **Two phases.** The root commits the global cut only after every
 //!   shard's quorum ack (phase 1 = shard commits, phase 2 = root commit).
 //!   Both phases carry faultpoint sites — `shard/s<i>/commit` and
@@ -28,14 +41,16 @@
 //! The [`scale_round`] model extends the measurement to 1k–10k simulated
 //! nodes (report `c14`): real [`StripedStore`] commits with synthetic
 //! per-rank payloads, the paper's exponential MTBF arithmetic on top.
+//!
+//! [`StableStorage::store_batch`]: ckpt_storage::StableStorage::store_batch
 
 use crate::cluster::Cluster;
-use crate::coordinator::{capture_rank_encoded, restart_saved_ranks};
 use crate::mpi::{MpiJob, RankRef};
+use ckpt_core::capture::{capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid};
 use ckpt_core::tracker::{Tracker, TrackerKind};
 use ckpt_par::Pool;
 use ckpt_replica::StripedStore;
-use ckpt_storage::ImageKey;
+use ckpt_storage::{load_chain_at, ImageKey};
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
 use simos::types::{SimError, SimResult};
@@ -72,7 +87,7 @@ pub struct HierOutcome {
     pub shard_rounds: Vec<ShardRound>,
 }
 
-/// The two-level coordinated-checkpoint driver for one job.
+/// The coordinated-checkpoint driver for one job.
 pub struct ShardedCoordinator {
     pub job_key: String,
     shards: usize,
@@ -88,14 +103,20 @@ pub struct ShardedCoordinator {
     /// commit refreshes `saved_ranks` once instead of every round.
     membership_stale: bool,
     faults: FaultHandle,
+    /// Pool for each rank's page encode (pipelined with the gather) and
+    /// chunked image CRC. Commits, charges, re-arms and thaws stay
+    /// serialized in rank order: the remote server and the fault plan are
+    /// shared state whose operation order is observable, and same-node
+    /// ranks observe each other's charges through `taken_at_ns`.
     pool: Arc<Pool>,
     pub outcomes: Vec<HierOutcome>,
 }
 
 impl ShardedCoordinator {
     /// `shards` shard coordinators under one root. `shards` is clamped to
-    /// the rank count at round time; 1 shard degenerates to the flat
-    /// protocol (plus the root commit point).
+    /// the rank count at round time. One shard freezes every rank for the
+    /// whole batch and charges each of them the batch's commit time; the
+    /// flat protocol is [`ShardedCoordinator::per_rank`].
     pub fn new(job_key: &str, tracker_kind: TrackerKind, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         ShardedCoordinator {
@@ -113,6 +134,13 @@ impl ShardedCoordinator {
         }
     }
 
+    /// One shard per rank: the flat LAM/MPI round. Each rank is captured,
+    /// committed as a batch of one, charged, re-armed and thawed in rank
+    /// order; on single-copy media the batch of one is a plain `store`.
+    pub fn per_rank(job_key: &str, tracker_kind: TrackerKind) -> Self {
+        Self::new(job_key, tracker_kind, usize::MAX)
+    }
+
     pub fn with_faults(mut self, faults: FaultHandle) -> Self {
         self.faults = faults;
         self
@@ -127,6 +155,8 @@ impl ShardedCoordinator {
         self.committed_seq
     }
 
+    /// Whether a committed cut with at least one rank exists to recover
+    /// from.
     pub fn has_checkpoint(&self) -> bool {
         self.committed_seq > 0 && !self.saved_ranks.is_empty()
     }
@@ -166,13 +196,18 @@ impl ShardedCoordinator {
         let t0 = cluster.now();
         self.seq += 1;
         let seq = self.seq;
+        // An incremental round is only valid when its parent (seq - 1) is
+        // the committed cut; after an aborted round the seq gap forces the
+        // next round full, which also re-baselines every tracker.
         let incremental = self.committed_seq > 0
             && self.committed_seq + 1 == seq
             && self.tracker_kind.supports_incremental();
 
+        // An empty job is an empty round: no shards, and (with no saved
+        // ranks) still no recovery point. `chunks` needs a non-zero width.
         let n_ranks = job.ranks.len();
-        let shards = self.shards.min(n_ranks.max(1));
-        let per_shard = n_ranks.div_ceil(shards);
+        let shards = self.shards.min(n_ranks);
+        let per_shard = n_ranks.div_ceil(shards.max(1)).max(1);
 
         let mut shard_rounds: Vec<ShardRound> = Vec::with_capacity(shards);
         let mut staged: Vec<RankRef> = Vec::new();
@@ -253,7 +288,6 @@ impl ShardedCoordinator {
         seq: u64,
         incremental: bool,
     ) -> SimResult<ShardRound> {
-        let pool = self.pool.clone();
         let mut captures: Vec<(RankRef, Vec<u8>)> = Vec::with_capacity(shard_ranks.len());
         let thaw_all = |cluster: &mut Cluster, captures: &[(RankRef, Vec<u8>)]| {
             for (r, _) in captures {
@@ -263,11 +297,7 @@ impl ShardedCoordinator {
             }
         };
         for r in shard_ranks {
-            let tracker = self
-                .trackers
-                .entry(r.rank)
-                .or_insert_with(|| Tracker::new(self.tracker_kind));
-            match capture_rank_encoded(cluster, *r, seq, incremental, tracker, &pool) {
+            match self.capture_rank(cluster, *r, seq, incremental) {
                 Ok(bytes) => captures.push((*r, bytes)),
                 Err(e) => {
                     thaw_all(cluster, &captures);
@@ -305,7 +335,7 @@ impl ShardedCoordinator {
         let (receipt, store_label) = {
             let mut st = remote.lock();
             let rc = st.store_batch(&objects, &cost).map_err(|e| {
-                SimError::Usage(format!("shard {s} batched commit failed: {e}"))
+                SimError::Usage(format!("shard {s} store failed: {e}"))
             });
             match rc {
                 Ok(rc) => (rc, st.label()),
@@ -348,6 +378,49 @@ impl ShardedCoordinator {
         })
     }
 
+    /// Freeze rank `r` and capture + encode its image (pool-chunked CRC).
+    /// On success the rank is left **frozen** for its shard's commit; on
+    /// error it is thawed best-effort here and nothing is recorded.
+    fn capture_rank(
+        &mut self,
+        cluster: &mut Cluster,
+        r: RankRef,
+        seq: u64,
+        incremental: bool,
+    ) -> SimResult<Vec<u8>> {
+        let pool = &self.pool;
+        let tracker = self
+            .trackers
+            .entry(r.rank)
+            .or_insert_with(|| Tracker::new(self.tracker_kind));
+        let k = cluster
+            .node(r.node)
+            .kernel()
+            .ok_or_else(|| SimError::Usage(format!("{} down during checkpoint", r.node)))?;
+        k.freeze_process(r.pid)?;
+        let pool_stats0 = pool.stats();
+        let result = (|| -> SimResult<Vec<u8>> {
+            let mut opts = if incremental && tracker.is_armed() {
+                let c = tracker.collect(k, r.pid)?;
+                CaptureOptions::incremental("coordinated", seq, seq - 1, c.pages)
+            } else {
+                CaptureOptions::full("coordinated", seq)
+            };
+            opts.node = r.node.0;
+            opts.encode_pool = Some(pool.clone());
+            let mut img = capture_image(k, r.pid, &opts)?;
+            // Key images by *rank*, which is stable across migrations.
+            img.header.pid = r.rank;
+            Ok(ckpt_image::encode_with_pool(&img, pool))
+        })();
+        let pool_delta = pool.stats().since(pool_stats0);
+        k.trace
+            .par_encode(pool_delta.tasks, pool_delta.steals, pool_delta.merge_stalls);
+        result.inspect_err(|_| {
+            let _ = k.thaw_process(r.pid);
+        })
+    }
+
     /// Best-effort removal of an aborted round's staged images; restart
     /// correctness relies on `committed_seq`, not on this cleanup.
     fn abort_round(&mut self, cluster: &mut Cluster, seq: u64, staged: &[RankRef]) {
@@ -360,21 +433,57 @@ impl ShardedCoordinator {
 
     /// Restart every rank from the newest ROOT-committed cut (shard
     /// commits beyond it are ignored by construction — loads are capped at
-    /// `committed_seq`).
+    /// `committed_seq`), placing ranks round-robin on the currently alive
+    /// nodes (ranks from lost nodes migrate automatically). Rebuilds the
+    /// job's rank table and resynchronizes its superstep counter.
     pub fn restart(&mut self, cluster: &mut Cluster, job: &mut MpiJob) -> SimResult<()> {
         if !self.has_checkpoint() {
-            return Err(SimError::Usage("no hierarchical checkpoint to restart".into()));
+            return Err(SimError::Usage("no coordinated checkpoint to restart".into()));
         }
-        let saved = self.saved_ranks.clone();
-        restart_saved_ranks(
-            cluster,
-            job,
-            &self.job_key,
-            &saved,
-            self.committed_seq,
-            self.tracker_kind,
-            &mut self.trackers,
-        )?;
+        // Kill any surviving ranks (a consistent cut requires all ranks to
+        // roll back together).
+        for r in &job.ranks {
+            if let Some(k) = cluster.node(r.node).kernel() {
+                if k.process(r.pid).is_some() {
+                    k.post_signal(r.pid, simos::signal::Sig::SIGKILL);
+                    let _ = k.run_for(1_000_000);
+                    let _ = k.reap(r.pid);
+                }
+            }
+        }
+        let alive = cluster.alive_nodes();
+        if alive.is_empty() {
+            return Err(SimError::Usage("no alive nodes to restart on".into()));
+        }
+        let mut new_ranks = Vec::with_capacity(self.saved_ranks.len());
+        for (i, &rank) in self.saved_ranks.iter().enumerate() {
+            let node = alive[i % alive.len()];
+            let remote = cluster.nodes[node.0 as usize].remote.clone();
+            let k = cluster.node(node).kernel().expect("alive");
+            let (full, load_ns, load_label) = {
+                let s = remote.lock();
+                let (img, t) = load_chain_at(&**s, &self.job_key, rank, self.committed_seq, &k.cost)
+                    .map_err(|e| SimError::Usage(format!("coordinated load failed: {e}")))?;
+                (img, t, s.label())
+            };
+            k.charge(load_ns);
+            k.trace.storage(
+                simos::trace::StorageOp::Load,
+                &load_label,
+                full.memory_bytes(),
+                load_ns,
+            );
+            let pid = restore_image(k, &full, &RestoreOptions::fresh_running(RestorePid::Fresh))?;
+            // Tracking state does not survive migration; re-arm fresh, so
+            // the next round is full. The sequence number keeps increasing
+            // so chain lineage in storage stays valid.
+            if let Some(t) = self.trackers.get_mut(&rank) {
+                *t = Tracker::new(self.tracker_kind);
+            }
+            new_ranks.push(RankRef { rank, node, pid });
+        }
+        job.ranks = new_ranks;
+        job.resync_supersteps(cluster)?;
         self.membership_stale = true;
         Ok(())
     }
@@ -521,25 +630,13 @@ pub fn scale_round_with_pool(cfg: &ScaleConfig, cost: &CostModel, pool: Arc<Pool
 mod tests {
     use super::*;
     use crate::cluster::FailureConfig;
-    use crate::coordinator::Coordinator;
+    use crate::mpi::JobInterrupt;
     use crate::node::NodeId;
     use simos::apps::{AppParams, NativeKind};
 
-    fn setup_striped(
-        n_nodes: usize,
-        n_ranks: u32,
-        shards: usize,
-    ) -> (Cluster, MpiJob, ShardedCoordinator) {
-        let mut c = Cluster::new_striped(
-            n_nodes,
-            CostModel::circa_2005(),
-            FailureConfig::none(),
-            4,
-            3,
-            2,
-        );
-        let job = MpiJob::launch(
-            &mut c,
+    fn launch(c: &mut Cluster, n_ranks: u32) -> MpiJob {
+        MpiJob::launch(
+            c,
             "app",
             n_ranks,
             NativeKind::SparseRandom,
@@ -547,9 +644,83 @@ mod tests {
             6,
             32 * 1024,
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    /// Every node a client of one single-copy remote server.
+    fn flat_cluster(n_nodes: usize) -> Cluster {
+        Cluster::new(n_nodes, CostModel::circa_2005(), FailureConfig::none())
+    }
+
+    /// A 4-stripe pool of 3 replicas each, write quorum 2.
+    fn striped_cluster(n_nodes: usize) -> Cluster {
+        Cluster::new_striped(n_nodes, CostModel::circa_2005(), FailureConfig::none(), 4, 3, 2)
+    }
+
+    fn setup_striped(
+        n_nodes: usize,
+        n_ranks: u32,
+        shards: usize,
+    ) -> (Cluster, MpiJob, ShardedCoordinator) {
+        let mut c = striped_cluster(n_nodes);
+        let job = launch(&mut c, n_ranks);
         let coord = ShardedCoordinator::new("job1", TrackerKind::KernelPage, shards);
         (c, job, coord)
+    }
+
+    fn setup_per_rank(n_nodes: usize, n_ranks: u32) -> (Cluster, MpiJob, ShardedCoordinator) {
+        let mut c = flat_cluster(n_nodes);
+        let job = launch(&mut c, n_ranks);
+        (c, job, ShardedCoordinator::per_rank("job1", TrackerKind::KernelPage))
+    }
+
+    /// The protocol shapes the round and recovery tests run: the flat
+    /// per-rank round on single-copy media, and 2 shards or one shard per
+    /// rank on the striped pool.
+    type Variant = (&'static str, fn(usize) -> Cluster, fn() -> ShardedCoordinator);
+    const VARIANTS: [Variant; 3] = [
+        ("flat per-rank", flat_cluster, || {
+            ShardedCoordinator::per_rank("job1", TrackerKind::KernelPage)
+        }),
+        ("striped 2 shards", striped_cluster, || {
+            ShardedCoordinator::new("job1", TrackerKind::KernelPage, 2)
+        }),
+        ("striped per-rank", striped_cluster, || {
+            ShardedCoordinator::per_rank("job1", TrackerKind::KernelPage)
+        }),
+    ];
+
+    #[test]
+    fn round_then_clean_continue_goes_incremental() {
+        for (name, cluster, coord) in VARIANTS {
+            let (mut c, mut coord) = (cluster(3), coord());
+            let mut job = launch(&mut c, 6);
+            for _ in 0..2 {
+                job.superstep(&mut c).unwrap();
+            }
+            let o = coord.checkpoint(&mut c, &job).unwrap();
+            assert_eq!(o.ranks, 6, "{name}");
+            assert_eq!(o.shard_rounds.len(), o.shards, "{name}");
+            assert!(!o.incremental, "{name}");
+            assert!(o.total_bytes > 0, "{name}");
+            // The job continues normally.
+            job.superstep(&mut c).unwrap();
+            assert_eq!(job.completed_supersteps(), 3, "{name}");
+            // The second round is incremental and smaller.
+            let o2 = coord.checkpoint(&mut c, &job).unwrap();
+            assert!(o2.incremental, "{name}");
+            assert!(o2.total_bytes < o.total_bytes, "{name}");
+        }
+    }
+
+    #[test]
+    fn empty_job_gets_an_empty_round() {
+        let (mut c, mut job, mut coord) = setup_per_rank(2, 0);
+        let o = coord.checkpoint(&mut c, &job).unwrap();
+        assert_eq!((o.ranks, o.shards, o.total_bytes), (0, 0, 0));
+        assert!(o.shard_rounds.is_empty());
+        assert!(!coord.has_checkpoint(), "an empty cut is no recovery point");
+        assert!(coord.restart(&mut c, &mut job).is_err());
     }
 
     #[test]
@@ -580,39 +751,109 @@ mod tests {
 
     #[test]
     fn sharded_recovery_matches_failure_free_run() {
-        let reference = {
-            let (mut c, mut job, _) = setup_striped(3, 6, 2);
-            for _ in 0..6 {
+        // The gold standard: states after recovery + N supersteps must
+        // equal an uninterrupted run's states at the same superstep.
+        for (name, cluster, coord) in VARIANTS {
+            let reference = {
+                let mut c = cluster(3);
+                let mut job = launch(&mut c, 6);
+                for _ in 0..6 {
+                    job.superstep(&mut c).unwrap();
+                }
+                job.rank_states(&mut c).unwrap()
+            };
+            let (mut c, mut coord) = (cluster(3), coord());
+            let mut job = launch(&mut c, 6);
+            for _ in 0..3 {
                 job.superstep(&mut c).unwrap();
             }
-            job.rank_states(&mut c).unwrap()
-        };
-        let (mut c, mut job, mut coord) = setup_striped(3, 6, 2);
+            coord.checkpoint(&mut c, &job).unwrap();
+            job.superstep(&mut c).unwrap(); // will be lost
+            assert_eq!(job.completed_supersteps(), 4, "{name}");
+            // Node 1 dies and stays dead.
+            c.inject_failure(NodeId(1));
+            assert!(
+                matches!(job.superstep(&mut c), Err(JobInterrupt::NodeLost(_))),
+                "{name}"
+            );
+            coord.restart(&mut c, &mut job).unwrap();
+            // Rolled back to the checkpoint, ranks only on alive nodes.
+            assert_eq!(job.completed_supersteps(), 3, "{name}");
+            for r in &job.ranks {
+                assert_ne!(r.node, NodeId(1), "{name}");
+            }
+            for _ in 0..3 {
+                job.superstep(&mut c).unwrap();
+            }
+            assert_eq!(job.completed_supersteps(), 6, "{name}");
+            assert_eq!(job.rank_states(&mut c).unwrap(), reference, "{name} diverged");
+        }
+    }
+
+    #[test]
+    fn recovery_after_node_loss_with_live_migration_rebalance() {
+        // Node-loss recovery followed by the live-migration replacement
+        // route: once the lost node is repaired, a rank is moved back to
+        // it by iterative pre-copy — no rollback, no job restart — and
+        // the job still completes with the rank table consistent.
+        let (mut c, mut job, mut coord) = setup_per_rank(3, 6);
         for _ in 0..3 {
             job.superstep(&mut c).unwrap();
         }
         coord.checkpoint(&mut c, &job).unwrap();
-        job.superstep(&mut c).unwrap(); // will be lost
         c.inject_failure(NodeId(1));
-        let _ = job.superstep(&mut c);
+        assert!(matches!(
+            job.superstep(&mut c),
+            Err(JobInterrupt::NodeLost(_))
+        ));
         coord.restart(&mut c, &mut job).unwrap();
         assert_eq!(job.completed_supersteps(), 3);
-        for r in &job.ranks {
-            assert_ne!(r.node, NodeId(1));
-        }
+        // The failed node comes back (FailureConfig::none has zero repair
+        // delay, so the next advance repairs it) — empty.
+        c.advance(1_000_000);
+        assert!(c.node(NodeId(1)).alive());
+        assert!(job.ranks.iter().all(|r| r.node != NodeId(1)));
+        // Repopulate it by live-migrating one rank back.
+        let victim = job
+            .ranks
+            .iter()
+            .position(|r| r.node != NodeId(1))
+            .expect("some rank lives elsewhere");
+        let moved_rank = job.ranks[victim].rank;
+        let rep = crate::livemig::rebalance_rank_live(
+            &mut c,
+            &mut job,
+            victim,
+            NodeId(1),
+            &crate::livemig::LiveMigConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(job.ranks[victim].node, NodeId(1));
+        assert_eq!(job.ranks[victim].pid, rep.new_pid);
+        assert_eq!(job.ranks[victim].rank, moved_rank);
+        // Live migration lost nothing: still at superstep 3, and the job
+        // runs to completion with the migrated rank participating.
+        assert_eq!(job.completed_supersteps(), 3);
         for _ in 0..3 {
             job.superstep(&mut c).unwrap();
         }
-        assert_eq!(job.rank_states(&mut c).unwrap(), reference);
+        assert_eq!(job.completed_supersteps(), 6);
+    }
+
+    #[test]
+    fn restart_without_checkpoint_refuses() {
+        let (mut c, mut job, mut coord) = setup_per_rank(2, 2);
+        assert!(coord.restart(&mut c, &mut job).is_err());
     }
 
     #[test]
     fn shard_count_does_not_change_recovered_state() {
-        // The whole point of width-invariance: 1, 2, or 8 shards commit
-        // the SAME cut — recovered application state is byte-identical,
-        // and identical to the flat coordinator's.
-        let run_sharded = |shards: usize| {
-            let (mut c, mut job, mut coord) = setup_striped(3, 6, shards);
+        // The whole point of width-invariance: 1, 2, 8 shards or one per
+        // rank commit the SAME cut — recovered application state is
+        // byte-identical.
+        let run = |mut coord: ShardedCoordinator| {
+            let mut c = striped_cluster(3);
+            let mut job = launch(&mut c, 6);
             for _ in 0..3 {
                 job.superstep(&mut c).unwrap();
             }
@@ -625,42 +866,12 @@ mod tests {
             }
             job.rank_states(&mut c).unwrap()
         };
-        let flat = {
-            let mut c = Cluster::new_striped(
-                3,
-                CostModel::circa_2005(),
-                FailureConfig::none(),
-                4,
-                3,
-                2,
-            );
-            let mut job = MpiJob::launch(
-                &mut c,
-                "app",
-                6,
-                NativeKind::SparseRandom,
-                AppParams::small(),
-                6,
-                32 * 1024,
-            )
-            .unwrap();
-            let mut coord = Coordinator::new("job1", TrackerKind::KernelPage);
-            for _ in 0..3 {
-                job.superstep(&mut c).unwrap();
-            }
-            coord.checkpoint(&mut c, &job).unwrap();
-            c.inject_failure(NodeId(0));
-            let _ = job.superstep(&mut c);
-            coord.restart(&mut c, &mut job).unwrap();
-            for _ in 0..2 {
-                job.superstep(&mut c).unwrap();
-            }
-            job.rank_states(&mut c).unwrap()
-        };
-        let one = run_sharded(1);
-        assert_eq!(one, run_sharded(2), "2 shards diverged from 1");
-        assert_eq!(one, run_sharded(8), "8 shards diverged from 1");
-        assert_eq!(one, flat, "sharded cut diverged from the flat protocol");
+        let sharded = |shards| run(ShardedCoordinator::new("job1", TrackerKind::KernelPage, shards));
+        let one = sharded(1);
+        assert_eq!(one, sharded(2), "2 shards diverged from 1");
+        assert_eq!(one, sharded(8), "8 shards diverged from 1");
+        let per_rank = run(ShardedCoordinator::per_rank("job1", TrackerKind::KernelPage));
+        assert_eq!(one, per_rank, "sharded cut diverged from the per-rank protocol");
     }
 
     #[test]

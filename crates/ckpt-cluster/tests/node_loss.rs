@@ -7,7 +7,7 @@
 //! [`FaultInjectStore`] so the fault strikes at a byte-accurate point in
 //! the round (after some ranks' images have already landed).
 
-use ckpt_cluster::{Cluster, Coordinator, FailureConfig, MpiJob, NodeId};
+use ckpt_cluster::{Cluster, FailureConfig, MpiJob, NodeId, ShardedCoordinator};
 use ckpt_core::tracker::TrackerKind;
 use ckpt_storage::{FaultInjectStore, LocalDisk};
 use simos::apps::{AppParams, NativeKind};
@@ -15,7 +15,7 @@ use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
 use simos::types::Pid;
 
-fn setup(n_nodes: usize, n_ranks: u32) -> (Cluster, MpiJob, Coordinator) {
+fn setup(n_nodes: usize, n_ranks: u32) -> (Cluster, MpiJob, ShardedCoordinator) {
     let mut c = Cluster::new(n_nodes, CostModel::circa_2005(), FailureConfig::none());
     let job = MpiJob::launch(
         &mut c,
@@ -27,7 +27,7 @@ fn setup(n_nodes: usize, n_ranks: u32) -> (Cluster, MpiJob, Coordinator) {
         32 * 1024,
     )
     .unwrap();
-    let coord = Coordinator::new("mixjob", TrackerKind::KernelPage);
+    let coord = ShardedCoordinator::per_rank("mixjob", TrackerKind::KernelPage);
     (c, job, coord)
 }
 

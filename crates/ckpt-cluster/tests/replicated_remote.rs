@@ -9,8 +9,9 @@
 //! survivors — with the images coming back from whichever replicas are
 //! still reachable.
 
-use ckpt_cluster::{Cluster, Coordinator, FailureConfig, MpiJob, NodeId};
+use ckpt_cluster::{Cluster, FailureConfig, MpiJob, NodeId, ShardedCoordinator};
 use ckpt_core::tracker::TrackerKind;
+use ckpt_storage::ImageKey;
 use simos::apps::{AppParams, NativeKind};
 use simos::cost::CostModel;
 
@@ -19,7 +20,7 @@ fn setup_replicated(
     n_ranks: u32,
     n_replicas: usize,
     w: usize,
-) -> (Cluster, MpiJob, Coordinator) {
+) -> (Cluster, MpiJob, ShardedCoordinator) {
     let mut c = Cluster::new_replicated(
         n_nodes,
         CostModel::circa_2005(),
@@ -37,7 +38,7 @@ fn setup_replicated(
         32 * 1024,
     )
     .unwrap();
-    let coord = Coordinator::new("repljob", TrackerKind::KernelPage);
+    let coord = ShardedCoordinator::per_rank("repljob", TrackerKind::KernelPage);
     (c, job, coord)
 }
 
@@ -175,4 +176,26 @@ fn node_loss_mid_round_on_replicated_remote_keeps_the_cut() {
     // Forward progress and a committing round on the survivors.
     job.superstep(&mut c).unwrap();
     coord.checkpoint(&mut c, &job).unwrap();
+}
+
+#[test]
+fn per_rank_rounds_pay_one_ack_cycle_per_rank() {
+    // The per-image path `HierOutcome::ack_cycles` is compared against:
+    // one shard per rank commits each image as a batch of one.
+    let (mut c, mut job, mut coord) = setup_replicated(3, 6, 3, 2);
+    let set = c.replica_set().expect("replicated cluster").clone();
+    for seq in 1..=2u64 {
+        job.superstep(&mut c).unwrap();
+        let o = coord.checkpoint(&mut c, &job).unwrap();
+        assert_eq!(o.shard_rounds.len(), o.ranks);
+        assert_eq!(o.ack_cycles, o.ranks as u64);
+        // Every replica holds every rank's image of this round.
+        for node in set.nodes() {
+            let keys = node.keys();
+            for r in &job.ranks {
+                let key = ImageKey::new("repljob", r.rank, seq).to_string();
+                assert!(keys.contains(&key), "replica {} lacks {key}", node.index());
+            }
+        }
+    }
 }

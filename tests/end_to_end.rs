@@ -4,7 +4,7 @@
 //! scheduling, and local-vs-remote storage fault coverage.
 
 use ckpt_restart::cluster::{
-    Cluster, Coordinator, FailureConfig, Gang, GangScheduler, MpiJob, NodeId,
+    Cluster, FailureConfig, Gang, GangScheduler, MpiJob, NodeId, ShardedCoordinator,
 };
 use ckpt_restart::ckpt::autonomic::{self, AutonomicConfig, AutonomicDaemon};
 use ckpt_restart::ckpt::mechanism::hibernate::{SoftwareSuspend, SuspendMode};
@@ -181,7 +181,7 @@ fn coordinated_checkpoint_storage_is_remote_by_construction() {
         16 * 1024,
     )
     .unwrap();
-    let mut coord = Coordinator::new("remote-proof", TrackerKind::FullOnly);
+    let mut coord = ShardedCoordinator::per_rank("remote-proof", TrackerKind::FullOnly);
     coord.checkpoint(&mut cluster, &job).unwrap();
     let keys = cluster.nodes[1].remote.lock().list();
     assert!(
